@@ -11,6 +11,7 @@
 
 #include "profile/ProfileDatabase.h"
 #include "profile/ProfileIO.h"
+#include "profile/ShardedCounterStore.h"
 
 using namespace pgmp;
 using namespace pgmp::bench;
@@ -20,7 +21,7 @@ namespace {
 /// Builds a serialized profile with N points.
 std::string makeProfileText(int N, SourceObjectTable &SOT) {
   ProfileDatabase Db;
-  CounterStore CS;
+  ShardedCounterStore CS;
   Rng R(3);
   for (int I = 0; I < N; ++I) {
     const SourceObject *P =
@@ -75,7 +76,7 @@ void BM_ProfileQuery(benchmark::State &State) {
 void BM_MergeDataset(benchmark::State &State) {
   int N = static_cast<int>(State.range(0));
   SourceObjectTable SOT;
-  CounterStore CS;
+  ShardedCounterStore CS;
   Rng R(17);
   for (int I = 0; I < N; ++I) {
     const SourceObject *P =

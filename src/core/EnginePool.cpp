@@ -198,6 +198,13 @@ std::array<AllocSiteStats, NumAllocSites> EnginePool::mergedSiteStats() const {
   return Merged;
 }
 
+StatsRegistry EnginePool::mergedStats() const {
+  StatsRegistry Merged;
+  for (const std::unique_ptr<Engine> &W : Workers)
+    Merged.merge(W->stats());
+  return Merged;
+}
+
 ProfileOpResult EnginePool::storeMergedProfile(const std::string &Path) {
   Context &C0 = Workers[0]->context();
   C0.Stats.bump(Stat::ProfileStores);

@@ -138,6 +138,11 @@ public:
   /// mergeCountersInto.
   std::array<AllocSiteStats, NumAllocSites> mergedSiteStats() const;
 
+  /// Every worker's StatsRegistry merged in worker order
+  /// (StatsRegistry::merge): the pool's --stats table. Requires a
+  /// quiescent point, like mergedSiteStats.
+  StatsRegistry mergedStats() const;
+
   /// The pool equivalent of Engine::storeProfile: merges all workers'
   /// counters on top of the coordinator's database, stores atomically,
   /// and on success commits the merge and resets every worker's counters

@@ -5,6 +5,7 @@
 #include "support/Text.h"
 
 #include <cmath>
+#include <cstdint>
 
 using namespace pgmp;
 using namespace pgmp::prims;
@@ -88,7 +89,11 @@ Value primDiv(Context &, Value *A, size_t N) {
     double D = wantNumber("/", A[I]);
     if (D == 0)
       raiseError("/: division by zero");
-    if (Exact && A[I].isFixnum() && IAcc % A[I].asFixnum() == 0) {
+    // INT64_MIN / -1 overflows (and traps in hardware); it takes the
+    // flonum path like any inexact quotient.
+    if (Exact && A[I].isFixnum() &&
+        !(IAcc == INT64_MIN && A[I].asFixnum() == -1) &&
+        IAcc % A[I].asFixnum() == 0) {
       IAcc /= A[I].asFixnum();
       DAcc = static_cast<double>(IAcc);
       continue;
@@ -131,6 +136,9 @@ Value primQuotient(Context &, Value *A, size_t) {
   int64_t Y = wantFixnum("quotient", A[1]);
   if (Y == 0)
     raiseError("quotient: division by zero");
+  // INT64_MIN / -1 has no fixnum result (and traps in hardware).
+  if (X == INT64_MIN && Y == -1)
+    raiseError("quotient: fixnum overflow");
   return Value::fixnum(X / Y);
 }
 Value primRemainder(Context &, Value *A, size_t) {
@@ -138,6 +146,9 @@ Value primRemainder(Context &, Value *A, size_t) {
   int64_t Y = wantFixnum("remainder", A[1]);
   if (Y == 0)
     raiseError("remainder: division by zero");
+  // X % -1 is always 0, but INT64_MIN % -1 traps in hardware.
+  if (Y == -1)
+    return Value::fixnum(0);
   return Value::fixnum(X % Y);
 }
 Value primModulo(Context &, Value *A, size_t) {
@@ -145,6 +156,8 @@ Value primModulo(Context &, Value *A, size_t) {
   int64_t Y = wantFixnum("modulo", A[1]);
   if (Y == 0)
     raiseError("modulo: division by zero");
+  if (Y == -1) // as in remainder: INT64_MIN % -1 traps
+    return Value::fixnum(0);
   int64_t R = X % Y;
   if (R != 0 && ((R < 0) != (Y < 0)))
     R += Y;

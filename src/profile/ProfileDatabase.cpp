@@ -33,10 +33,6 @@ void ProfileDatabase::addDataset(const CounterRows &Rows) {
   ++Version;
 }
 
-void ProfileDatabase::addDataset(const CounterStore &Counters) {
-  addDataset(Counters.snapshot());
-}
-
 void ProfileDatabase::addDataset(const ShardedCounterStore &Counters) {
   addDataset(Counters.snapshot());
 }

@@ -21,7 +21,6 @@
 #ifndef PGMP_PROFILE_PROFILEDATABASE_H
 #define PGMP_PROFILE_PROFILEDATABASE_H
 
-#include "profile/CounterStore.h"
 #include "profile/ProfileSnapshot.h"
 #include "profile/SourceObject.h"
 
@@ -38,9 +37,9 @@ class ShardedCounterStore;
 class ProfileDatabase {
 public:
   /// One run's counters, already aggregated: (point, count) rows. The
-  /// common currency between CounterStore, ShardedCounterStore, and the
-  /// EnginePool merge (which re-interns rows into the target engine's
-  /// point table before folding).
+  /// common currency between ShardedCounterStore and the EnginePool merge
+  /// (which re-interns rows into the target engine's point table before
+  /// folding).
   using CounterRows = std::vector<std::pair<const SourceObject *, uint64_t>>;
 
   ProfileDatabase() = default;
@@ -52,8 +51,7 @@ public:
   /// data set whose counters are all zero is ignored.
   void addDataset(const CounterRows &Rows);
 
-  /// Convenience overloads folding a live counter store's snapshot.
-  void addDataset(const CounterStore &Counters);
+  /// Convenience overload folding a live counter store's snapshot.
   void addDataset(const ShardedCounterStore &Counters);
 
   /// An immutable view of the current state; see ProfileSnapshot. Cached:

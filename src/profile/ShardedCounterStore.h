@@ -1,20 +1,21 @@
 //===- profile/ShardedCounterStore.h - Parallel counters ------*- C++ -*-===//
 ///
 /// \file
-/// The multi-threaded sibling of CounterStore: one counter *page* (shard)
-/// per incrementing thread, so the per-hit cost stays a single memory
-/// increment on thread-private memory — no atomics, no false sharing, no
-/// lock on the hot path. The paper's profiling model (one counter bump
-/// per hit, Section 4.1) survives parallel workloads unchanged.
+/// The engine's execution counters: one 64-bit counter per profile
+/// point, kept as one counter *page* (shard) per incrementing thread, so
+/// the per-hit cost stays a single memory increment on thread-private
+/// memory — no atomics, no false sharing, no lock on the hot path. The
+/// paper's profiling model (one counter bump per hit, Section 4.1)
+/// survives parallel workloads unchanged.
 ///
 /// ## Contract
 ///
-/// - `counterFor(Src)` keeps the CounterStore contract: it returns a
-///   pointer that stays valid until clear(), and instrumented code bumps
-///   it with a plain `++*p`. The pointer refers to the *calling thread's*
-///   shard slot for `Src`; each thread that compiles instrumented code
-///   gets its own page. Registration (the cold path, compile time only)
-///   takes a mutex; increments (the hot path) are lock-free.
+/// - `counterFor(Src)` returns a pointer that stays valid until clear(),
+///   and instrumented code bumps it with a plain `++*p`. The pointer
+///   refers to the *calling thread's* shard slot for `Src`; each thread
+///   that compiles instrumented code gets its own page. Registration
+///   (the cold path, compile time only) takes a mutex; increments (the
+///   hot path) are lock-free.
 ///
 /// - Aggregation (`count`, `maxCount`, `totalIncrements`, `snapshot`)
 ///   sums the slot across all shards. It is *epoch-based*: aggregate only
@@ -26,9 +27,8 @@
 ///   registrations and previously returned pointers stay valid.
 ///
 /// - `snapshot()` returns (point, summed count) pairs in registration
-///   order, exactly like CounterStore, so ProfileDatabase::addDataset
-///   produces bit-identical weights whether the counts were collected on
-///   one thread or sixteen.
+///   order, so ProfileDatabase::addDataset produces bit-identical weights
+///   whether the counts were collected on one thread or sixteen.
 ///
 //===----------------------------------------------------------------------===//
 

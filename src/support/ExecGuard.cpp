@@ -7,19 +7,11 @@
 using namespace pgmp;
 
 const char *pgmp::guardKindName(GuardKind K) {
-  switch (K) {
-  case GuardKind::None:
-    return "none";
-  case GuardKind::Fuel:
-    return "fuel";
-  case GuardKind::Depth:
-    return "depth";
-  case GuardKind::Heap:
-    return "heap";
-  case GuardKind::Deadline:
-    return "deadline";
-  }
-  return "?";
+#define PGMP_GUARD_KIND_NAME(Id, Name) Name,
+  static constexpr const char *Names[] = {
+      PGMP_GUARD_KINDS(PGMP_GUARD_KIND_NAME)};
+#undef PGMP_GUARD_KIND_NAME
+  return Names[static_cast<size_t>(K)];
 }
 
 void pgmp::raiseGuardTrip(GuardKind K, std::string Message,

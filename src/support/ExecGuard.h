@@ -49,13 +49,18 @@
 
 namespace pgmp {
 
-/// Which resource limit a GuardTrip reports.
+/// Which resource limit a GuardTrip reports: identifier, stable name.
+#define PGMP_GUARD_KINDS(X)                                                    \
+  X(None, "none")         /* no trip (EvalResult default) */                   \
+  X(Fuel, "fuel")         /* step budget exhausted */                          \
+  X(Depth, "depth")       /* recursion/nesting limit exceeded */               \
+  X(Heap, "heap")         /* arena byte cap (or injected alloc failure) */     \
+  X(Deadline, "deadline") /* wall-clock budget exceeded */
+
 enum class GuardKind : uint8_t {
-  None,     ///< no trip (EvalResult default)
-  Fuel,     ///< step budget exhausted
-  Depth,    ///< recursion/nesting limit exceeded
-  Heap,     ///< arena byte cap reached (or injected allocation failure)
-  Deadline, ///< wall-clock budget exceeded
+#define PGMP_GUARD_KIND_ENUM(Id, Name) Id,
+  PGMP_GUARD_KINDS(PGMP_GUARD_KIND_ENUM)
+#undef PGMP_GUARD_KIND_ENUM
 };
 
 /// Stable lower-case name ("fuel", "depth", "heap", "deadline", "none").

@@ -47,25 +47,11 @@ bool pgmp::faultinject::shouldFail(Point P) {
 }
 
 const char *pgmp::faultinject::pointName(Point P) {
-  switch (P) {
-  case Point::None:
-    return "none";
-  case Point::Read:
-    return "read";
-  case Point::Expand:
-    return "expand";
-  case Point::Compile:
-    return "compile";
-  case Point::TierCompile:
-    return "tier-compile";
-  case Point::ProfileStore:
-    return "profile-store";
-  case Point::ProfileLoad:
-    return "profile-load";
-  case Point::Alloc:
-    return "alloc";
-  }
-  return "?";
+#define PGMP_FAULT_POINT_NAME(Id, Name) Name,
+  static constexpr const char *Names[] = {
+      PGMP_FAULT_POINTS(PGMP_FAULT_POINT_NAME)};
+#undef PGMP_FAULT_POINT_NAME
+  return Names[static_cast<size_t>(P)];
 }
 
 Point pgmp::faultinject::parsePoint(std::string_view Name) {

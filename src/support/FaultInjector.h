@@ -27,6 +27,7 @@
 #ifndef PGMP_SUPPORT_FAULTINJECTOR_H
 #define PGMP_SUPPORT_FAULTINJECTOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -36,18 +37,25 @@ namespace faultinject {
 /// The named fault points. Phase points fire at the start of their phase
 /// for one top-level form; Alloc fires in Heap::allocateSlow (chunk
 /// acquisition, i.e. a simulated malloc failure); the profile points fire
-/// before any state is mutated.
+/// before any state is mutated. Rows: identifier, stable name.
+#define PGMP_FAULT_POINTS(X)                                                   \
+  X(None, "none")                                                              \
+  X(Read, "read")                 /* reader: next top-level form */            \
+  X(Expand, "expand")             /* hygienic expansion of one form */         \
+  X(Compile, "compile")           /* core syntax -> Expr IR */                 \
+  X(TierCompile, "tier-compile")  /* tier-up (recovers interpreted) */         \
+  X(ProfileStore, "profile-store") /* storeProfile, before serializing */      \
+  X(ProfileLoad, "profile-load")  /* loadProfile, before reading */            \
+  X(Alloc, "alloc")               /* arena chunk acquisition */
+
 enum class Point : uint8_t {
-  None,
-  Read,         ///< reader: next top-level form
-  Expand,       ///< hygienic expansion of one form
-  Compile,      ///< core syntax -> Expr IR
-  TierCompile,  ///< hot-lambda tier-up (recovers by staying interpreted)
-  ProfileStore, ///< storeProfile, before serialization
-  ProfileLoad,  ///< loadProfile, before reading
-  Alloc,        ///< arena chunk acquisition
+#define PGMP_FAULT_POINT_ENUM(Id, Name) Id,
+  PGMP_FAULT_POINTS(PGMP_FAULT_POINT_ENUM)
+#undef PGMP_FAULT_POINT_ENUM
 };
-inline constexpr size_t NumPoints = 8;
+#define PGMP_FAULT_POINT_COUNT(Id, Name) +1
+inline constexpr size_t NumPoints = 0 PGMP_FAULT_POINTS(PGMP_FAULT_POINT_COUNT);
+#undef PGMP_FAULT_POINT_COUNT
 
 /// Arms point \p P: its (Skip+1)-th hit fires, then the injector
 /// disarms. Re-arming overwrites any pending fault.

@@ -4,6 +4,7 @@
 
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -16,98 +17,17 @@ uint64_t pgmp::statsNowNanos() {
           .count());
 }
 
+#define PGMP_STATS_NAME(Id, Name) Name,
+static constexpr const char *PhaseNames[] = {PGMP_PHASES(PGMP_STATS_NAME)};
+static constexpr const char *StatNames[] = {PGMP_STATS(PGMP_STATS_NAME)};
+#undef PGMP_STATS_NAME
+
 const char *StatsRegistry::phaseName(Phase P) {
-  switch (P) {
-  case Phase::Read:
-    return "read";
-  case Phase::Expand:
-    return "expand";
-  case Phase::Compile:
-    return "compile";
-  case Phase::VmCompile:
-    return "vm-compile";
-  case Phase::Eval:
-    return "eval";
-  case Phase::CounterFold:
-    return "counter-fold";
-  case Phase::ProfileStore:
-    return "profile-store";
-  case Phase::ProfileLoad:
-    return "profile-load";
-  case Phase::TierCompile:
-    return "tier-compile";
-  case Phase::Reclaim:
-    return "reclaim";
-  }
-  return "?";
+  return PhaseNames[static_cast<size_t>(P)];
 }
 
 const char *StatsRegistry::statName(Stat S) {
-  switch (S) {
-  case Stat::CompiledUnits:
-    return "compiled-units";
-  case Stat::CompiledNodes:
-    return "compiled-nodes";
-  case Stat::InstrumentedNodes:
-    return "instrumented-nodes";
-  case Stat::MacroExpansions:
-    return "macro-expansions";
-  case Stat::AnnotateExprCalls:
-    return "annotate-expr-calls";
-  case Stat::PointsCreated:
-    return "profile-points-created";
-  case Stat::ProfileQueries:
-    return "profile-queries";
-  case Stat::DatasetMerges:
-    return "dataset-merges";
-  case Stat::CounterIncrements:
-    return "counter-increments";
-  case Stat::ProfileStores:
-    return "profile-stores";
-  case Stat::ProfileLoads:
-    return "profile-loads";
-  case Stat::ProfilePointsLoaded:
-    return "profile-points-loaded";
-  case Stat::CounterShards:
-    return "counter-shards";
-  case Stat::ShardMerges:
-    return "shard-merges";
-  case Stat::TierUps:
-    return "tier-ups";
-  case Stat::TierCompileFails:
-    return "tier-compile-fails";
-  case Stat::TierPremarkedHot:
-    return "tier-premarked-hot";
-  case Stat::GuardTrips:
-    return "guard-trips";
-  case Stat::TaskRetries:
-    return "task-retries";
-  case Stat::BusPublishes:
-    return "bus-publishes";
-  case Stat::BusEpochs:
-    return "bus-epochs";
-  case Stat::RetierPromotions:
-    return "retier-promotions";
-  case Stat::RetierDemotions:
-    return "retier-demotions";
-  case Stat::SuperinstructionsFused:
-    return "superinstructions-fused";
-  case Stat::TierInlines:
-    return "tier-inlines";
-  case Stat::TierInlineFallbacks:
-    return "tier-inline-fallbacks";
-  case Stat::FusionEpochs:
-    return "fusion-epochs";
-  case Stat::TierInvalidations:
-    return "tier-invalidations";
-  case Stat::Reclaims:
-    return "reclaims";
-  case Stat::ReclaimAborts:
-    return "reclaim-aborts";
-  case Stat::ReclaimPolicyEpochs:
-    return "reclaim-policy-epochs";
-  }
-  return "?";
+  return StatNames[static_cast<size_t>(S)];
 }
 
 void StatsRegistry::reset() {
@@ -125,9 +45,34 @@ std::vector<std::pair<std::string, uint64_t>> StatsRegistry::snapshot() const {
     Out.emplace_back(Name + "-entries", Phases[I].Entries);
     Out.emplace_back(Name + "-ns", Phases[I].Nanos);
   }
+  for (auto &Row : extraRows())
+    Out.push_back(std::move(Row));
+  return Out;
+}
+
+std::vector<std::pair<std::string, uint64_t>>
+StatsRegistry::extraRows() const {
+  std::vector<std::pair<std::string, uint64_t>> Out = MergedExtra;
   if (ExtraFn)
     ExtraFn(ExtraSource, Out);
   return Out;
+}
+
+void StatsRegistry::merge(const StatsRegistry &O) {
+  for (size_t I = 0; I < NumStats; ++I)
+    Counts[I] += O.Counts[I];
+  for (size_t I = 0; I < NumPhases; ++I) {
+    Phases[I].Nanos += O.Phases[I].Nanos;
+    Phases[I].Entries += O.Phases[I].Entries;
+  }
+  for (const auto &[Name, N] : O.extraRows()) {
+    auto It = std::find_if(MergedExtra.begin(), MergedExtra.end(),
+                           [&](const auto &Row) { return Row.first == Name; });
+    if (It == MergedExtra.end())
+      MergedExtra.emplace_back(Name, N);
+    else
+      It->second += N;
+  }
 }
 
 std::string StatsRegistry::render() const {
@@ -150,16 +95,12 @@ std::string StatsRegistry::render() const {
                   static_cast<unsigned long long>(Counts[I]));
     Out += Buf;
   }
-  if (ExtraFn) {
-    std::vector<std::pair<std::string, uint64_t>> Extra;
-    ExtraFn(ExtraSource, Extra);
-    for (const auto &[Name, N] : Extra) {
-      if (!N)
-        continue;
-      std::snprintf(Buf, sizeof(Buf), "  %-22s %12llu\n", Name.c_str(),
-                    static_cast<unsigned long long>(N));
-      Out += Buf;
-    }
+  for (const auto &[Name, N] : extraRows()) {
+    if (!N)
+      continue;
+    std::snprintf(Buf, sizeof(Buf), "  %-22s %12llu\n", Name.c_str(),
+                  static_cast<unsigned long long>(N));
+    Out += Buf;
   }
   return Out;
 }

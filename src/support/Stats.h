@@ -30,56 +30,64 @@ namespace pgmp {
 
 class TraceSink;
 
-/// Pipeline stages with an accumulated wall-clock timer.
-enum class Phase : uint8_t {
-  Read,         ///< reader: text -> syntax
-  Expand,       ///< hygienic expansion (includes transformer runs)
-  Compile,      ///< core syntax -> Expr IR
-  VmCompile,    ///< Expr IR -> bytecode
-  Eval,         ///< interpreter / VM execution of top-level forms
-  CounterFold,  ///< folding live counters into the profile database
-  ProfileStore, ///< serializing + atomically writing a profile
-  ProfileLoad,  ///< reading + parsing + merging a profile
-  TierCompile,  ///< lowering hot lambdas to bytecode (tier-up)
-  Reclaim,      ///< region reclamation at run boundaries (Heap::collect)
-};
-inline constexpr size_t NumPhases = 10;
+/// X-macro of the pipeline stages with an accumulated wall-clock timer:
+/// identifier, stable report name. Row order is the (pgmp-stats) and
+/// --stats order.
+#define PGMP_PHASES(X)                                                         \
+  X(Read, "read")                 /* reader: text -> syntax */                 \
+  X(Expand, "expand")             /* hygienic expansion + transformers */      \
+  X(Compile, "compile")           /* core syntax -> Expr IR */                 \
+  X(VmCompile, "vm-compile")      /* Expr IR -> bytecode */                    \
+  X(Eval, "eval")                 /* interpreter / VM execution */             \
+  X(CounterFold, "counter-fold")  /* live counters -> profile database */      \
+  X(ProfileStore, "profile-store") /* serialize + atomically write */          \
+  X(ProfileLoad, "profile-load")  /* read + parse + merge a profile */         \
+  X(TierCompile, "tier-compile")  /* hot lambdas -> bytecode (tier-up) */      \
+  X(Reclaim, "reclaim")           /* boundary region reclamation */
 
-/// Profiler self-metric counters.
-enum class Stat : uint8_t {
-  CompiledUnits,      ///< top-level forms compiled to Expr IR
-  CompiledNodes,      ///< Expr nodes built
-  InstrumentedNodes,  ///< Expr nodes that received a live counter
-  MacroExpansions,    ///< transformer invocations during expansion
-  AnnotateExprCalls,  ///< annotate-expr (C++ or Scheme level)
-  PointsCreated,      ///< make-profile-point calls
-  ProfileQueries,     ///< profile-query / profile-query* calls
-  DatasetMerges,      ///< data sets folded or loaded into the database
-  CounterIncrements,  ///< total counter bumps, accumulated at fold time
-  ProfileStores,      ///< store-profile operations attempted
-  ProfileLoads,       ///< load-profile operations attempted
-  ProfilePointsLoaded, ///< point records merged by load-profile
-  CounterShards,      ///< per-thread counter shards created
-  ShardMerges,        ///< shard pages aggregated by counter snapshots
-  TierUps,            ///< lambdas promoted to a bytecode body
-  TierCompileFails,   ///< tier-up compiles rejected (phase-1-only bodies)
-  TierPremarkedHot,   ///< lambdas pre-marked hot from a loaded profile
-  GuardTrips,         ///< runs aborted by an ExecGuard resource limit
-  TaskRetries,        ///< EnginePool tasks re-run on a fresh worker
-  BusPublishes,       ///< counter snapshots published to a ProfileBus
-  BusEpochs,          ///< bus epochs observed and applied by this engine
-  RetierPromotions,   ///< lambdas marked hot by an epoch (re-tiering)
-  RetierDemotions,    ///< stale-hot lambdas demoted to interpretation
-  SuperinstructionsFused, ///< opcode pairs fused at tier-up
-  TierInlines,        ///< calls inlined into a tiered body
-  TierInlineFallbacks, ///< eligible inlines abandoned by a size/depth cap
-  FusionEpochs,       ///< fusion-table re-selections that changed the set
-  TierInvalidations,  ///< tiered bodies dropped by a fusion-table epoch
-  Reclaims,           ///< boundary region reclamations run (Heap::collect)
-  ReclaimAborts,      ///< reclamations degraded by an evac alloc failure
-  ReclaimPolicyEpochs ///< reclaim-policy re-selections that changed it
-};
-inline constexpr size_t NumStats = 31;
+/// X-macro of the profiler self-metric counters: identifier, stable
+/// report name, in report order.
+#define PGMP_STATS(X)                                                          \
+  X(CompiledUnits, "compiled-units")         /* top-level forms compiled */    \
+  X(CompiledNodes, "compiled-nodes")         /* Expr nodes built */            \
+  X(InstrumentedNodes, "instrumented-nodes") /* nodes with a counter */        \
+  X(MacroExpansions, "macro-expansions")     /* transformer invocations */     \
+  X(AnnotateExprCalls, "annotate-expr-calls") /* C++ or Scheme level */        \
+  X(PointsCreated, "profile-points-created") /* make-profile-point calls */    \
+  X(ProfileQueries, "profile-queries")       /* profile-query(*) calls */      \
+  X(DatasetMerges, "dataset-merges")         /* data sets folded/loaded */     \
+  X(CounterIncrements, "counter-increments") /* bumps, summed at fold */       \
+  X(ProfileStores, "profile-stores")         /* store-profile attempts */      \
+  X(ProfileLoads, "profile-loads")           /* load-profile attempts */       \
+  X(ProfilePointsLoaded, "profile-points-loaded") /* records merged */         \
+  X(CounterShards, "counter-shards")         /* per-thread shards created */   \
+  X(ShardMerges, "shard-merges")             /* shard pages aggregated */      \
+  X(TierUps, "tier-ups")                     /* lambdas given bytecode */      \
+  X(TierCompileFails, "tier-compile-fails")  /* rejected tier-ups */           \
+  X(TierPremarkedHot, "tier-premarked-hot")  /* hot from a loaded profile */   \
+  X(GuardTrips, "guard-trips")               /* runs an ExecGuard aborted */   \
+  X(TaskRetries, "task-retries")             /* EnginePool task re-runs */     \
+  X(BusPublishes, "bus-publishes")           /* snapshots sent to the bus */   \
+  X(BusEpochs, "bus-epochs")                 /* bus epochs applied */          \
+  X(RetierPromotions, "retier-promotions")   /* marked hot by an epoch */      \
+  X(RetierDemotions, "retier-demotions")     /* stale-hot demoted */           \
+  X(SuperinstructionsFused, "superinstructions-fused") /* at tier-up */        \
+  X(TierInlines, "tier-inlines")             /* calls inlined at tier-up */    \
+  X(TierInlineFallbacks, "tier-inline-fallbacks") /* inlines over a cap */     \
+  X(FusionEpochs, "fusion-epochs")           /* fusion re-selections */        \
+  X(TierInvalidations, "tier-invalidations") /* bodies a fusion epoch drops */ \
+  X(Reclaims, "reclaims")                    /* boundary reclamations run */   \
+  X(ReclaimAborts, "reclaim-aborts")         /* evac alloc failures */         \
+  X(ReclaimPolicyEpochs, "reclaim-policy-epochs") /* policy re-selections */
+
+#define PGMP_STATS_ENUM(Id, Name) Id,
+#define PGMP_STATS_COUNT(Id, Name) +1
+enum class Phase : uint8_t { PGMP_PHASES(PGMP_STATS_ENUM) };
+inline constexpr size_t NumPhases = 0 PGMP_PHASES(PGMP_STATS_COUNT);
+enum class Stat : uint8_t { PGMP_STATS(PGMP_STATS_ENUM) };
+inline constexpr size_t NumStats = 0 PGMP_STATS(PGMP_STATS_COUNT);
+#undef PGMP_STATS_ENUM
+#undef PGMP_STATS_COUNT
 
 /// Monotonic clock in nanoseconds (steady_clock).
 uint64_t statsNowNanos();
@@ -134,6 +142,12 @@ public:
   /// Feeds (pgmp-stats) and the --stats report.
   std::vector<std::pair<std::string, uint64_t>> snapshot() const;
 
+  /// Adds \p O into this registry: counters and phase timers slot by
+  /// slot, extra-source rows by name in first-seen order (a heap lists
+  /// only its non-zero kinds and sites). An EnginePool's --stats table is
+  /// a fresh registry with every worker merged in.
+  void merge(const StatsRegistry &O);
+
   /// Human-readable multi-line summary (counters + phase timings + any
   /// non-zero extra-source rows).
   std::string render() const;
@@ -142,6 +156,9 @@ public:
   static const char *statName(Stat S);
 
 private:
+  /// Merged rows, then the extra source's own rows.
+  std::vector<std::pair<std::string, uint64_t>> extraRows() const;
+
   struct PhaseAccum {
     uint64_t Nanos = 0;
     uint64_t Entries = 0;
@@ -149,6 +166,8 @@ private:
   bool Enabled = false;
   std::array<uint64_t, NumStats> Counts{};
   std::array<PhaseAccum, NumPhases> Phases{};
+  /// Extra-source rows folded in by merge().
+  std::vector<std::pair<std::string, uint64_t>> MergedExtra;
   ExtraStatsFn ExtraFn = nullptr;
   const void *ExtraSource = nullptr;
 };

@@ -32,47 +32,11 @@ EnvObj *Value::asEnv() const {
 #undef PGMP_DEFINE_AS
 
 const char *pgmp::valueKindName(ValueKind K) {
-  switch (K) {
-  case ValueKind::Nil:
-    return "nil";
-  case ValueKind::Bool:
-    return "bool";
-  case ValueKind::Fixnum:
-    return "fixnum";
-  case ValueKind::Flonum:
-    return "flonum";
-  case ValueKind::Char:
-    return "char";
-  case ValueKind::Eof:
-    return "eof";
-  case ValueKind::Void:
-    return "void";
-  case ValueKind::Unbound:
-    return "unbound";
-  case ValueKind::Symbol:
-    return "symbol";
-  case ValueKind::String:
-    return "string";
-  case ValueKind::Pair:
-    return "pair";
-  case ValueKind::Vector:
-    return "vector";
-  case ValueKind::Hash:
-    return "hash";
-  case ValueKind::Closure:
-    return "closure";
-  case ValueKind::VmClosure:
-    return "vm-closure";
-  case ValueKind::Primitive:
-    return "primitive";
-  case ValueKind::Syntax:
-    return "syntax";
-  case ValueKind::Box:
-    return "box";
-  case ValueKind::Env:
-    return "env";
-  }
-  return "?";
+#define PGMP_VALUE_KIND_NAME(Id, Name) Name,
+  static constexpr const char *Names[] = {
+      PGMP_VALUE_KINDS(PGMP_VALUE_KIND_NAME)};
+#undef PGMP_VALUE_KIND_NAME
+  return Names[static_cast<size_t>(K)];
 }
 
 bool pgmp::eqvValues(const Value &A, const Value &B) {

@@ -32,33 +32,42 @@ class Syntax;
 class Box;
 class EnvObj;
 
-/// Discriminator for Value. Heap kinds mirror the Obj subclass so type
-/// tests never need to chase the pointer.
+/// Discriminator for Value, as an X-macro of identifier and stable
+/// lower-case name. Heap kinds mirror the Obj subclass so type tests
+/// never need to chase the pointer.
+#define PGMP_VALUE_KINDS(X)                                                    \
+  X(Nil, "nil") /* the empty list '() */                                       \
+  X(Bool, "bool")                                                              \
+  X(Fixnum, "fixnum") /* 64-bit signed integer */                              \
+  X(Flonum, "flonum") /* IEEE double */                                        \
+  X(Char, "char")     /* Unicode code point */                                 \
+  X(Eof, "eof")                                                                \
+  X(Void, "void")       /* unspecified value */                                \
+  X(Unbound, "unbound") /* sentinel in not-yet-defined global cells */         \
+  X(Symbol, "symbol")                                                          \
+  X(String, "string")                                                          \
+  X(Pair, "pair")                                                              \
+  X(Vector, "vector")                                                          \
+  X(Hash, "hash")                                                              \
+  X(Closure, "closure")                                                        \
+  X(VmClosure, "vm-closure") /* closure over a vm/ bytecode function */        \
+  X(Primitive, "primitive")                                                    \
+  X(Syntax, "syntax")                                                          \
+  X(Box, "box")                                                                \
+  X(Env, "env")
+
 enum class ValueKind : uint8_t {
-  Nil,     ///< the empty list '()
-  Bool,
-  Fixnum,  ///< 64-bit signed integer
-  Flonum,  ///< IEEE double
-  Char,    ///< Unicode code point
-  Eof,
-  Void,    ///< unspecified value
-  Unbound, ///< sentinel stored in not-yet-defined global cells
-  Symbol,
-  String,
-  Pair,
-  Vector,
-  Hash,
-  Closure,
-  VmClosure, ///< closure over a vm/ bytecode function
-  Primitive,
-  Syntax,
-  Box,
-  Env,
+#define PGMP_VALUE_KIND_ENUM(Id, Name) Id,
+  PGMP_VALUE_KINDS(PGMP_VALUE_KIND_ENUM)
+#undef PGMP_VALUE_KIND_ENUM
 };
 
 /// Number of ValueKind discriminators (for kind-indexed tables such as
 /// the heap's per-kind allocation counters).
-inline constexpr size_t NumValueKinds = static_cast<size_t>(ValueKind::Env) + 1;
+#define PGMP_VALUE_KIND_COUNT(Id, Name) +1
+inline constexpr size_t NumValueKinds =
+    0 PGMP_VALUE_KINDS(PGMP_VALUE_KIND_COUNT);
+#undef PGMP_VALUE_KIND_COUNT
 
 /// Stable lower-case name of a kind ("pair", "vm-closure", ...) for
 /// diagnostics and observability rows.

@@ -106,12 +106,9 @@ void VmFunction::computeMaxStack() {
       Work.push_back(static_cast<uint32_t>(Succ));
     }
   };
-  // Analyzing the raw expansion of every instruction (flattenInstr) keeps
-  // this pass correct for all fused and wide ops without enumerating
-  // their composite effects: each raw component updates the depth in
-  // order, so transient peaks inside a fused dispatch are modeled
-  // exactly, and a newly added superinstruction can never silently carry
-  // a zero stack effect.
+  // Analyzing the raw expansion of every instruction (flattenInstr) models
+  // transient peaks inside a fused dispatch exactly: each raw component
+  // updates the depth in order.
   std::vector<Instr> Flat;
   while (!Work.empty()) {
     uint32_t Id = Work.back();
@@ -122,57 +119,27 @@ void VmFunction::computeMaxStack() {
       Flat.clear();
       flattenInstr(Raw, Flat);
       for (const Instr &I : Flat) {
-        switch (I.K) {
-        case Op::Const:
-        case Op::LocalRef:
-        case Op::GlobalRef:
-        case Op::MakeClosure:
-        case Op::Peek:
-        case Op::GlobalIs:
-          ++Cur;
-          break;
-        case Op::SetLocal:
-        case Op::SetGlobal:
-        case Op::DefineGlobal:
-          break; // pop one, push void: net zero, peak unchanged
-        case Op::Call:
-          Cur -= I.A; // pops fn + A args, pushes result
-          break;
-        case Op::TailCall:
-          Cur -= I.A + 1; // consumes fn + args; invocation restarts
-          break;
-        case Op::Jump:
-          Propagate(I.A, Cur);
-          break;
-        case Op::BranchFalse:
-        case Op::BranchTrue:
-          --Cur;
-          Propagate(I.A, Cur);
-          Propagate(B.FallThrough, Cur);
-          break;
-        case Op::Return:
-        case Op::Pop:
-          --Cur;
-          break;
-        case Op::Squash:
-          Cur -= I.A;
-          break;
-        case Op::ProfileBlock:
-        case Op::ProfileSrc:
-        case Op::GuardEnter:
-        case Op::GuardLeave:
-          break;
-        default:
-          assert(false && "fused op survived flattenInstr");
-          break;
-        }
+        Cur += stackEffect(I);
         assert(Cur >= 0 && "operand stack underflow in MaxStack analysis");
         if (Cur > Max)
           Max = Cur;
+        if (opInfo(I.K).Flags & OpJumpsToA)
+          Propagate(I.A, Cur);
       }
     }
+    // Only a conditional terminator leaves a fallthrough successor.
+    Propagate(B.FallThrough, Cur);
   }
   MaxStack = static_cast<uint32_t>(Max);
+}
+
+int32_t pgmp::stackEffect(const Instr &I) {
+  const OpInfo &Info = opInfo(I.K);
+  if (Info.Pack == OpPack::None)
+    return Info.Push - Info.PopA * I.A;
+  Instr Parts[2];
+  expandInstr(I, Parts);
+  return stackEffect(Parts[0]) + stackEffect(Parts[1]);
 }
 
 uint64_t VmFunction::totalBlockCount() const {
@@ -205,27 +172,24 @@ uint64_t VmFunction::structuralHash() const {
       // invisible to block-profile validation: the same source compiles
       // to the same hash whether the fusion table was applied or not.
       flattenInstr(Raw, Flat);
-    {
-      for (const Instr &I : Flat) {
-        if (I.K == Op::ProfileBlock || I.K == Op::ProfileSrc)
-          continue;
-        Mix(static_cast<uint64_t>(I.K));
-        // Operand indices are allocated in encounter order, so two
-        // different compiles can produce identical index sequences; hash
-        // what the operands denote instead where it matters.
-        switch (I.K) {
-        case Op::Const:
-          MixString(writeToString(Pool[static_cast<size_t>(I.A)]));
-          break;
-        case Op::GlobalRef:
-        case Op::SetGlobal:
-        case Op::DefineGlobal:
-          MixString(CellNames[static_cast<size_t>(I.A)]->Name);
-          break;
-        default:
-          Mix(static_cast<uint64_t>(I.A) + 0x9e37);
-          Mix(static_cast<uint64_t>(I.B) + 0x79b9);
-        }
+    for (const Instr &I : Flat) {
+      OpArg Arg = opInfo(I.K).Arg;
+      if (Arg == OpArg::Counter)
+        continue;
+      Mix(static_cast<uint64_t>(I.K));
+      // Operand indices are allocated in encounter order, so two
+      // different compiles can produce identical index sequences; hash
+      // what the operands denote instead where it matters.
+      switch (Arg) {
+      case OpArg::Pool:
+        MixString(writeToString(Pool[static_cast<size_t>(I.A)]));
+        break;
+      case OpArg::Cell:
+        MixString(CellNames[static_cast<size_t>(I.A)]->Name);
+        break;
+      default:
+        Mix(static_cast<uint64_t>(I.A) + 0x9e37);
+        Mix(static_cast<uint64_t>(I.B) + 0x79b9);
       }
     }
   }
@@ -242,74 +206,13 @@ std::string pgmp::disassemble(const VmFunction &Fn) {
   std::string Out = "function " + (Fn.Name.empty() ? "<top>" : Fn.Name) +
                     " params=" + std::to_string(Fn.NumParams) +
                     (Fn.HasRest ? "+rest" : "") + "\n";
-  auto OpName = [](Op K) -> const char * {
-    switch (K) {
-    case Op::Const:
-      return "const";
-    case Op::LocalRef:
-      return "local";
-    case Op::GlobalRef:
-      return "global";
-    case Op::SetLocal:
-      return "set-local";
-    case Op::SetGlobal:
-      return "set-global";
-    case Op::DefineGlobal:
-      return "def-global";
-    case Op::MakeClosure:
-      return "closure";
-    case Op::Call:
-      return "call";
-    case Op::TailCall:
-      return "tailcall";
-    case Op::Jump:
-      return "jump";
-    case Op::BranchFalse:
-      return "brf";
-    case Op::BranchTrue:
-      return "brt";
-    case Op::Return:
-      return "return";
-    case Op::Pop:
-      return "pop";
-    case Op::ProfileBlock:
-      return "profile";
-    case Op::ProfileSrc:
-      return "profile-src";
-    case Op::LocalLocal:
-      return "local-local";
-    case Op::LocalConst:
-      return "local-const";
-    case Op::GlobalLocal:
-      return "global-local";
-    case Op::GlobalConst:
-      return "global-const";
-    case Op::LocalCall:
-      return "local-call";
-    case Op::ConstCall:
-      return "const-call";
-    case Op::CallBranchFalse:
-      return "call-brf";
-    case Op::Peek:
-      return "peek";
-    case Op::Squash:
-      return "squash";
-    case Op::GlobalIs:
-      return "global-is";
-    case Op::GuardEnter:
-      return "guard-enter";
-    case Op::GuardLeave:
-      return "guard-leave";
-    }
-    return "?";
-  };
   for (size_t BI = 0; BI < Fn.Blocks.size(); ++BI) {
     const Block &B = Fn.Blocks[BI];
     Out += "  block " + std::to_string(BI) +
            " count=" + std::to_string(B.ProfileCount) + "\n";
     for (const Instr &I : B.Code)
-      Out += std::string("    ") + OpName(I.K) + " " + std::to_string(I.A) +
-             " " + std::to_string(I.B) + "\n";
+      Out += std::string("    ") + opInfo(I.K).Mnemonic + " " +
+             std::to_string(I.A) + " " + std::to_string(I.B) + "\n";
   }
   return Out;
 }

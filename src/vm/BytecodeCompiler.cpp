@@ -74,51 +74,6 @@ bool CallSiteCensus::monoCaller(const Value *Cell, const LambdaExpr *Caller,
 
 namespace {
 
-/// Net operand-stack effect of one instruction (FnBuilder tracks the
-/// running depth so the inliner can address stack-resident parameters).
-int32_t stackEffect(const Instr &I) {
-  switch (I.K) {
-  case Op::Const:
-  case Op::LocalRef:
-  case Op::GlobalRef:
-  case Op::MakeClosure:
-  case Op::Peek:
-  case Op::GlobalIs:
-    return 1;
-  case Op::SetLocal:
-  case Op::SetGlobal:
-  case Op::DefineGlobal:
-  case Op::Jump:
-  case Op::ProfileBlock:
-  case Op::ProfileSrc:
-  case Op::GuardEnter:
-  case Op::GuardLeave:
-    return 0;
-  case Op::Call:
-    return -I.A;
-  case Op::TailCall:
-    return -(I.A + 1);
-  case Op::BranchFalse:
-  case Op::BranchTrue:
-  case Op::Return:
-  case Op::Pop:
-    return -1;
-  case Op::Squash:
-    return -I.A;
-  case Op::LocalLocal:
-  case Op::LocalConst:
-  case Op::GlobalLocal:
-  case Op::GlobalConst:
-    return 2;
-  case Op::LocalCall:
-  case Op::ConstCall:
-    return 1 - I.B;
-  case Op::CallBranchFalse:
-    return -(I.A + 1);
-  }
-  return 0;
-}
-
 class FnBuilder {
 public:
   FnBuilder(VmModule &Module, VmFunction *Fn, const VmCompileOptions &Opts)
@@ -137,6 +92,7 @@ public:
   }
 
   void emit(Instr I) {
+    assert(!opEndsBlock(I.K) && "terminator emitted mid-block");
     Fn->Blocks[Current].Code.push_back(I);
     CurDepth += stackEffect(I);
   }
@@ -144,6 +100,7 @@ public:
   /// Ends the current block with \p Term; conditional terminators get
   /// \p FallThrough as their not-taken successor.
   void terminate(Instr Term, int32_t FallThrough = -1) {
+    assert(opEndsBlock(Term.K) && "block ended by a non-terminator");
     Fn->Blocks[Current].Code.push_back(Term);
     Fn->Blocks[Current].FallThrough = FallThrough;
     CurDepth += stackEffect(Term);

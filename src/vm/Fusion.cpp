@@ -12,35 +12,31 @@ using namespace pgmp;
 // the wide round-2 pairs; their Dep fields name the base candidates
 // whose mask bits gate them.
 static const FusionCandidate Candidates[NumFusionOps] = {
-    {Op::LocalRef, Op::LocalRef, Op::LocalLocal, "local+local"},
-    {Op::LocalRef, Op::Const, Op::LocalConst, "local+const"},
-    {Op::GlobalRef, Op::LocalRef, Op::GlobalLocal, "global+local"},
-    {Op::GlobalRef, Op::Const, Op::GlobalConst, "global+const"},
-    {Op::LocalRef, Op::Call, Op::LocalCall, "local+call"},
-    {Op::Const, Op::Call, Op::ConstCall, "const+call"},
-    {Op::Call, Op::BranchFalse, Op::CallBranchFalse, "call+brf"},
+    {Op::LocalLocal, "local+local"},
+    {Op::LocalConst, "local+const"},
+    {Op::GlobalLocal, "global+local"},
+    {Op::GlobalConst, "global+const"},
+    {Op::LocalCall, "local+call"},
+    {Op::ConstCall, "const+call"},
+    {Op::CallBranchFalse, "call+brf"},
     // Wide pairs. GlobalLocal+ConstCall is a whole (op x const) call,
     // GlobalLocal+LocalCall a whole (op x y) call — the two shapes every
     // counted loop's step and accumulate expressions take. The Peek pairs
     // only occur in inlined bodies, where parameters live on the operand
     // stack; Peek itself is not a round-1 product, so those entries
     // depend only on the candidate that produced their fused half.
-    {Op::GlobalLocal, Op::ConstCall, Op::GlobalLocalConstCall,
-     "g.local+c.call", 2, 5},
-    {Op::GlobalLocal, Op::LocalCall, Op::GlobalLocalLocalCall,
-     "g.local+l.call", 2, 4},
-    {Op::GlobalConst, Op::Peek, Op::GlobalConstPeek, "g.const+peek", 3, -1},
-    {Op::Peek, Op::Call, Op::PeekCall, "peek+call", -1, -1},
+    {Op::GlobalLocalConstCall, "g.local+c.call", 2, 5},
+    {Op::GlobalLocalLocalCall, "g.local+l.call", 2, 4},
+    {Op::GlobalConstPeek, "g.const+peek", 3, -1},
+    {Op::PeekCall, "peek+call", -1, -1},
     // Guard pairs: only the tier-up inliner emits guard ops, and it
     // always brackets an inlined body with GuardEnter-after-the-last-arg
     // and GuardLeave-then-Squash. The fused handlers still charge the
     // guard in the guarded instantiation, so fuel accounting is
     // unchanged; in the common unguarded build these erase two pure
     // dispatch overheads per inlined call.
-    {Op::GuardEnter, Op::GlobalRef, Op::GuardEnterGlobal, "genter+global",
-     -1, -1},
-    {Op::GuardLeave, Op::Squash, Op::GuardLeaveSquash, "gleave+squash",
-     -1, -1},
+    {Op::GuardEnterGlobal, "genter+global", -1, -1},
+    {Op::GuardLeaveSquash, "gleave+squash", -1, -1},
 };
 
 const FusionCandidate &pgmp::fusionCandidate(size_t I) {
@@ -69,17 +65,23 @@ static bool packsWide(const Instr &I) {
   return I.A >= 0 && I.A <= 0xFFFF && I.B >= 0 && I.B <= 0xFFFF;
 }
 
+/// The fused payload of a Pair component: a local's slot (its depth is
+/// pinned to 0), else operand A (cell, pool, or arg-count index).
+static int32_t pairPayload(const Instr &In) {
+  return opInfo(In.K).Arg == OpArg::Local ? In.B : In.A;
+}
+
 int pgmp::matchFusedPair(const Instr &I, const Instr &J) {
   for (size_t C = 0; C < NumFusionOps; ++C) {
-    const FusionCandidate &Cand = Candidates[C];
-    if (I.K != Cand.First || J.K != Cand.Second)
+    const OpInfo &F = opInfo(Candidates[C].Fused);
+    if (I.K != F.First || J.K != F.Second)
+      continue;
+    if (F.Pack == OpPack::Wide && !(packsWide(I) && packsWide(J)))
       continue;
     // Only depth-0 locals fuse: the fused operand encodes a Slots0 index
     // and nothing else, and depth-0 covers every hot loop we measured.
-    if ((Cand.First == Op::LocalRef && I.A != 0) ||
-        (Cand.Second == Op::LocalRef && J.A != 0))
-      continue;
-    if (C >= NumFusionCandidates && !(packsWide(I) && packsWide(J)))
+    if ((opInfo(I.K).Arg == OpArg::Local && I.A != 0) ||
+        (opInfo(J.K).Arg == OpArg::Local && J.A != 0))
       continue;
     return static_cast<int>(C);
   }
@@ -87,41 +89,37 @@ int pgmp::matchFusedPair(const Instr &I, const Instr &J) {
 }
 
 Instr pgmp::buildFusedInstr(size_t Candidate, const Instr &I, const Instr &J) {
-  const FusionCandidate &Cand = Candidates[Candidate];
-  if (Candidate >= NumFusionCandidates) {
-    // Wide packing: both components keep their full (A, B) payloads,
-    // 16 bits each — matchFusedPair rejected anything that wouldn't fit.
+  Op Fused = Candidates[Candidate].Fused;
+  if (opInfo(Fused).Pack == OpPack::Wide) {
+    // Both components keep their full (A, B) payloads, 16 bits each —
+    // matchFusedPair rejected anything that wouldn't fit.
     assert(packsWide(I) && packsWide(J) && "wide fusion payload overflow");
-    return Instr{Cand.Fused, (I.A << 16) | I.B, (J.A << 16) | J.B};
+    return Instr{Fused, (I.A << 16) | I.B, (J.A << 16) | J.B};
   }
-  // The fused A operand is the first op's payload (its slot, cell, pool,
-  // or arg-count index), B the second's. LocalRef's payload is its B
-  // field (A is the depth, pinned to 0 by matchFusedPair).
-  auto Payload = [](Op K, const Instr &In) {
-    return K == Op::LocalRef ? In.B : In.A;
-  };
-  return Instr{Cand.Fused, Payload(Cand.First, I), Payload(Cand.Second, J)};
+  return Instr{Fused, pairPayload(I), pairPayload(J)};
 }
 
 size_t pgmp::expandInstr(const Instr &I, Instr Out[2]) {
-  for (size_t C = 0; C < NumFusionOps; ++C) {
-    const FusionCandidate &Cand = Candidates[C];
-    if (I.K != Cand.Fused)
-      continue;
-    if (C >= NumFusionCandidates) {
-      Out[0] = Instr{Cand.First, I.A >> 16, I.A & 0xFFFF};
-      Out[1] = Instr{Cand.Second, I.B >> 16, I.B & 0xFFFF};
-      return 2;
-    }
+  const OpInfo &F = opInfo(I.K);
+  switch (F.Pack) {
+  case OpPack::None:
+    Out[0] = I;
+    return 1;
+  case OpPack::Wide:
+    Out[0] = Instr{F.First, I.A >> 16, I.A & 0xFFFF};
+    Out[1] = Instr{F.Second, I.B >> 16, I.B & 0xFFFF};
+    return 2;
+  case OpPack::Pair: {
     auto Component = [](Op K, int32_t Payload) {
-      return K == Op::LocalRef ? Instr{K, 0, Payload} : Instr{K, Payload, 0};
+      return opInfo(K).Arg == OpArg::Local ? Instr{K, 0, Payload}
+                                           : Instr{K, Payload, 0};
     };
-    Out[0] = Component(Cand.First, I.A);
-    Out[1] = Component(Cand.Second, I.B);
+    Out[0] = Component(F.First, I.A);
+    Out[1] = Component(F.Second, I.B);
     return 2;
   }
-  Out[0] = I;
-  return 1;
+  }
+  return 0;
 }
 
 void pgmp::flattenInstr(const Instr &I, std::vector<Instr> &Out) {

@@ -28,30 +28,41 @@
 
 namespace pgmp {
 
-/// One fusable pair: (First, Second) adjacent in a block rewrite to Fused.
-/// Wide (round-2) entries have a fused op as First (or a Peek, which only
-/// inlined code emits) and name the base candidates they compose via
-/// Dep1/Dep2 — their enablement derives from the bases' mask bits instead
-/// of carrying bits of their own.
+/// One fusion candidate: the fused op whose components (its opcode-table
+/// row) are rewritten into it when adjacent in a block. Wide (round-2)
+/// entries name the base candidates they compose via Dep1/Dep2 — their
+/// enablement derives from the bases' mask bits instead of carrying bits
+/// of their own.
 struct FusionCandidate {
-  Op First;
-  Op Second;
   Op Fused;
   const char *Name;  ///< stable label for reports and stats
   int8_t Dep1 = -1;  ///< base candidate this wide op composes (or -1)
   int8_t Dep2 = -1;  ///< second base candidate (or -1)
 };
 
-/// Number of profile-selected candidate pairs (indexes the weights array
-/// and the table mask). The census and the pgmpi report speak in these.
-constexpr size_t NumFusionCandidates = 7;
+/// Number of opcode-table rows with packing \p P.
+constexpr size_t numFusedOps(OpPack P) {
+  size_t N = 0;
+  for (const OpInfo &Info : OpTable)
+    N += Info.Pack == P;
+  return N;
+}
 
-/// Total candidate table size: the 7 selected pairs plus the wide
-/// round-2 entries derived from them.
-constexpr size_t NumFusionOps = 13;
+/// Number of profile-selected candidate pairs — the Pair-packed fused
+/// ops, which come first in the candidate table (indexes the weights
+/// array and the table mask). The census and the pgmpi report speak in
+/// these.
+constexpr size_t NumFusionCandidates = numFusedOps(OpPack::Pair);
+
+/// Total candidate table size: the selected pairs plus the wide round-2
+/// entries derived from them — one candidate per fused op.
+constexpr size_t NumFusionOps =
+    NumFusionCandidates + numFusedOps(OpPack::Wide);
 
 /// The static candidate table, indexed 0..NumFusionOps-1.
 const FusionCandidate &fusionCandidate(size_t I);
+
+static_assert(NumFusionCandidates < 32, "one mask bit per selected candidate");
 
 /// Mask with every candidate enabled (the default selection used until
 /// block profiles say otherwise).
@@ -78,7 +89,8 @@ Instr buildFusedInstr(size_t Candidate, const Instr &I, const Instr &J);
 
 /// Writes the one-level unfused expansion of \p I into \p Out (1 or 2
 /// entries); returns the count. A wide op expands into its two fused
-/// components. Non-fused instructions expand to themselves.
+/// components. Non-fused instructions expand to themselves. A direct
+/// lookup of the opcode table's row for I.K.
 size_t expandInstr(const Instr &I, Instr Out[2]);
 
 /// Appends the fully raw expansion of \p I to \p Out: expandInstr

@@ -265,23 +265,12 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
   // the same handler bodies via VM_CASE/VM_NEXT.
   Instr I;
 #if PGMP_VM_THREADED
+  // Generated from the opcode table in row order, so an opcode without a
+  // handler label fails to compile.
+#define PGMP_VM_LABEL(Id, ...) &&Lb_##Id,
   static const void *const JumpTable[] = {
-      &&Lb_Const,       &&Lb_LocalRef,    &&Lb_GlobalRef,
-      &&Lb_SetLocal,    &&Lb_SetGlobal,   &&Lb_DefineGlobal,
-      &&Lb_MakeClosure, &&Lb_Call,        &&Lb_TailCall,
-      &&Lb_Jump,        &&Lb_BranchFalse, &&Lb_BranchTrue,
-      &&Lb_Return,      &&Lb_Pop,         &&Lb_ProfileBlock,
-      &&Lb_ProfileSrc,  &&Lb_LocalLocal,  &&Lb_LocalConst,
-      &&Lb_GlobalLocal, &&Lb_GlobalConst, &&Lb_LocalCall,
-      &&Lb_ConstCall,   &&Lb_CallBranchFalse,
-      &&Lb_Peek,        &&Lb_Squash,      &&Lb_GlobalIs,
-      &&Lb_GuardEnter,  &&Lb_GuardLeave,
-      &&Lb_GlobalLocalConstCall,          &&Lb_GlobalLocalLocalCall,
-      &&Lb_GlobalConstPeek,               &&Lb_PeekCall,
-      &&Lb_GuardEnterGlobal,              &&Lb_GuardLeaveSquash,
-  };
-  static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumOps,
-                "jump table must cover every opcode in enum order");
+      PGMP_OPCODES(PGMP_VM_LABEL, PGMP_VM_LABEL)};
+#undef PGMP_VM_LABEL
 #define VM_CASE(op) Lb_##op
 #define VM_NEXT()                                                              \
   do {                                                                         \

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 namespace {
@@ -42,6 +43,12 @@ struct Expectation {
   const char *Library;
   int PaperLines;
 };
+
+/// Prints the case by content; gtest's default would dump the struct's bytes,
+/// pointer included, which makes the listed test names differ per process.
+void PrintTo(const Expectation &E, std::ostream *OS) {
+  *OS << E.Library << " (paper " << E.PaperLines << " lines)";
+}
 
 class LocParity : public ::testing::TestWithParam<Expectation> {};
 

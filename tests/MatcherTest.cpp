@@ -20,6 +20,12 @@ struct MatchCase {
   const char *Template; ///< template evaluated on match
 };
 
+/// Prints the case by content so listed test names are the same in every
+/// process (the default byte dump includes the string pointers).
+void PrintTo(const MatchCase &C, std::ostream *OS) {
+  *OS << "(_ " << C.Pattern << ") <- (m " << C.Input << ")";
+}
+
 class MatcherSweep : public ::testing::TestWithParam<MatchCase> {};
 
 TEST_P(MatcherSweep, MatchesAsSpecified) {

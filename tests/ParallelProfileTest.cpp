@@ -526,4 +526,30 @@ TEST(ParallelProfile, LoadsConcurrentWithStoresNeverDegrade) {
   EXPECT_FALSE(L.degraded());
 }
 
+TEST(ParallelProfile, MergedStatsSumEveryWorkerRow) {
+  EngineOptions Opts = withStats();
+  Opts.Instrument = true;
+  EnginePool Pool(3, Opts);
+  // Unequal work per worker, so no single worker's table can pass.
+  ASSERT_TRUE(Pool.run([](Engine &E, size_t W) {
+    return E.evalString("(define (f n) (if (zero? n) 0 (f (- n 1))))\n(f " +
+                        std::to_string(10 * (W + 1)) + ")");
+  }));
+  std::vector<std::pair<std::string, uint64_t>> Merged =
+      Pool.mergedStats().snapshot();
+  std::map<std::string, uint64_t> Sum;
+  for (size_t W = 0; W < Pool.size(); ++W)
+    for (const auto &[Name, N] : Pool.engine(W).stats().snapshot())
+      Sum[Name] += N;
+  EXPECT_EQ(Merged.size(), Sum.size());
+  for (const auto &[Name, N] : Merged)
+    EXPECT_EQ(N, Sum[Name]) << Name;
+  // Counters and phases keep the registry's fixed row order.
+  std::vector<std::pair<std::string, uint64_t>> Own =
+      Pool.engine(0).stats().snapshot();
+  for (size_t I = 0; I < NumStats + 2 * NumPhases; ++I)
+    EXPECT_EQ(Merged[I].first, Own[I].first);
+  EXPECT_GT(Sum["compiled-units"], Own[0].second);
+}
+
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "profile/ProfileDatabase.h"
 #include "profile/ProfileIO.h"
+#include "profile/ShardedCounterStore.h"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@ namespace {
 struct WeightFixture : ::testing::Test {
   SourceObjectTable SOT;
   ProfileDatabase Db;
-  CounterStore Counters;
+  ShardedCounterStore Counters;
 
   const SourceObject *point(const char *File, uint32_t Begin) {
     return SOT.intern(File, Begin, Begin + 1, 1, 1);
@@ -127,14 +128,14 @@ TEST_F(WeightFixture, LoadMergesAssociatively) {
   const SourceObject *B = point("f", 5);
 
   ProfileDatabase D1;
-  CounterStore C1;
+  ShardedCounterStore C1;
   *C1.counterFor(A) = 5;
   *C1.counterFor(B) = 10;
   D1.addDataset(C1);
   std::string T1 = serializeProfile(D1);
 
   ProfileDatabase D2;
-  CounterStore C2;
+  ShardedCounterStore C2;
   *C2.counterFor(A) = 100;
   *C2.counterFor(B) = 10;
   D2.addDataset(C2);
@@ -164,7 +165,7 @@ TEST_F(WeightFixture, ParseRejectsGarbage) {
 }
 
 TEST_F(WeightFixture, CounterStoreBasics) {
-  CounterStore CS;
+  ShardedCounterStore CS;
   const SourceObject *A = point("f", 0);
   uint64_t *Slot = CS.counterFor(A);
   EXPECT_EQ(CS.counterFor(A), Slot) << "stable pointer per point";

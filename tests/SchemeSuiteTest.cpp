@@ -29,6 +29,10 @@ struct Suite {
   const char *Libs[8];
 };
 
+/// Prints the case by content so listed test names are the same in every
+/// process (the default byte dump includes the string pointers).
+void PrintTo(const Suite &S, std::ostream *OS) { *OS << S.File; }
+
 class SchemeSuite : public ::testing::TestWithParam<Suite> {};
 
 TEST_P(SchemeSuite, Passes) {

@@ -201,4 +201,27 @@ TEST(TieredExec, TierCompileTimeIsMeasured) {
   EXPECT_GE(E.stats().phaseEntries(Phase::TierCompile), 1u);
 }
 
+TEST(TieredExec, FixnumDivisionOverflowIsContainedInEveryTier) {
+  // The most negative fixnum divided by -1 has no fixnum result, and the
+  // hardware traps on it (SIGFPE): quotient raises, remainder and modulo
+  // are 0, and / falls back to a flonum — in the interpreter and in
+  // tiered bytecode alike.
+  for (TierMode Mode : {TierMode::Off, TierMode::Always}) {
+    Engine E(withTier(Mode));
+    ASSERT_TRUE(E.evalString("(define m (- 0 9223372036854775807 1))\n"
+                             "(define (q a b) (quotient a b))\n"
+                             "(define (r a b) (remainder a b))\n"
+                             "(define (md a b) (modulo a b))\n"
+                             "(define (d a b) (/ a b))\n")
+                    .Ok);
+    EXPECT_NE(evalErr(E, "(q m -1)").find("fixnum overflow"),
+              std::string::npos);
+    EXPECT_EQ(evalOk(E, "(list (r m -1) (md m -1) (q m 1) (q 7 -1))"),
+              "(0 0 -9223372036854775808 -7)");
+    EXPECT_EQ(evalOk(E, "(list (d m -1) (d m 1) (d 6 -1))"),
+              evalOk(E, "(list (exact->inexact 9223372036854775807) "
+                        "-9223372036854775808 -6)"));
+  }
+}
+
 } // namespace

@@ -15,7 +15,12 @@
 //     value;
 //   - a fusion-table epoch change invalidates bodies compiled against the
 //     stale table (TierInvalidations); they re-tier lazily and keep
-//     computing the same values.
+//     computing the same values;
+//   - the opcode table is self-consistent (unique mnemonics, one fusion
+//     candidate per fused op, expansions that round-trip and carry the
+//     fused op's stack effect), and structuralHash is pinned to golden
+//     values so a reordered row cannot silently invalidate stored block
+//     profiles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +32,10 @@
 #include "support/AtomicFile.h"
 #include "vm/Bytecode.h"
 #include "vm/Fusion.h"
+#include "vm/Vm.h"
 
+#include <set>
+#include <sstream>
 #include <vector>
 
 using namespace pgmp;
@@ -245,6 +253,143 @@ TEST(VmCodegen, FusionEpochChangeInvalidatesAndRetiers) {
   uint64_t Epoch2 = Ctx.Backend->fuse(Ctx);
   EXPECT_EQ(Epoch2, Epoch);
   EXPECT_EQ(Ctx.Backend->invalidateEpoch(Ctx, Epoch2), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Opcode table invariants
+//===----------------------------------------------------------------------===//
+
+TEST(OpcodeTable, MnemonicsAreUniqueAndNamed) {
+  // Read back through disassemble(), the surface debugging and golden
+  // tests use: one instruction of every opcode, one line each.
+  VmFunction Fn;
+  Fn.Blocks.emplace_back();
+  for (size_t K = 0; K < NumOps; ++K)
+    Fn.Blocks[0].Code.push_back(Instr{static_cast<Op>(K), 0, 0});
+  std::istringstream Lines(disassemble(Fn));
+  std::string Line;
+  std::getline(Lines, Line); // function header
+  std::getline(Lines, Line); // block header
+  std::set<std::string> Seen;
+  for (size_t K = 0; K < NumOps; ++K) {
+    ASSERT_TRUE(std::getline(Lines, Line)) << "op " << K;
+    std::string Name;
+    std::istringstream(Line) >> Name;
+    EXPECT_FALSE(Name.empty()) << "op " << K;
+    EXPECT_NE(Name, "?") << "op " << K;
+    EXPECT_TRUE(Seen.insert(Name).second) << "duplicate mnemonic " << Name;
+  }
+}
+
+TEST(OpcodeTable, EveryFusedOpHasExactlyOneCandidate) {
+  // Profile-selected (Pair) candidates first, then the wide ones whose
+  // enablement derives from them.
+  std::set<Op> Candidates;
+  for (size_t C = 0; C < NumFusionOps; ++C) {
+    Op Fused = fusionCandidate(C).Fused;
+    EXPECT_EQ(opInfo(Fused).Pack,
+              C < NumFusionCandidates ? OpPack::Pair : OpPack::Wide)
+        << fusionCandidate(C).Name;
+    EXPECT_TRUE(Candidates.insert(Fused).second) << fusionCandidate(C).Name;
+  }
+  size_t FusedRows = 0;
+  for (size_t K = 0; K < NumOps; ++K)
+    FusedRows += opInfo(static_cast<Op>(K)).Pack != OpPack::None;
+  EXPECT_EQ(FusedRows, Candidates.size());
+}
+
+/// A canonical instruction of kind \p K: raw ops carry a payload in the
+/// field their fused forms keep (a local's slot, else A), fused ops are
+/// built from canonical components through their candidate.
+Instr sampleInstr(Op K) {
+  const OpInfo &Info = opInfo(K);
+  if (Info.Pack == OpPack::None)
+    return Info.Arg == OpArg::Local ? Instr{K, 0, 2} : Instr{K, 3, 0};
+  for (size_t C = 0; C < NumFusionOps; ++C)
+    if (fusionCandidate(C).Fused == K)
+      return buildFusedInstr(C, sampleInstr(Info.First),
+                             sampleInstr(Info.Second));
+  ADD_FAILURE() << "no candidate builds " << Info.Mnemonic;
+  return Instr{K, 0, 0};
+}
+
+TEST(OpcodeTable, FusedOpsRoundTripThroughTheirCandidates) {
+  for (size_t C = 0; C < NumFusionOps; ++C) {
+    const FusionCandidate &Cand = fusionCandidate(C);
+    const OpInfo &Info = opInfo(Cand.Fused);
+    Instr I = sampleInstr(Info.First), J = sampleInstr(Info.Second);
+    EXPECT_EQ(matchFusedPair(I, J), static_cast<int>(C)) << Cand.Name;
+    Instr Fused = buildFusedInstr(C, I, J);
+    EXPECT_EQ(Fused.K, Cand.Fused) << Cand.Name;
+    Instr Out[2];
+    ASSERT_EQ(expandInstr(Fused, Out), 2u) << Cand.Name;
+    for (const auto &[Got, Want] : {std::pair{Out[0], I}, {Out[1], J}}) {
+      EXPECT_EQ(Got.K, Want.K) << Cand.Name;
+      EXPECT_EQ(Got.A, Want.A) << Cand.Name;
+      EXPECT_EQ(Got.B, Want.B) << Cand.Name;
+    }
+  }
+}
+
+TEST(OpcodeTable, FusedStackEffectIsSumOfExpansion) {
+  for (size_t K = 0; K < NumOps; ++K) {
+    if (opInfo(static_cast<Op>(K)).Pack == OpPack::None)
+      continue;
+    Instr Fused = sampleInstr(static_cast<Op>(K));
+    std::vector<Instr> Flat;
+    flattenInstr(Fused, Flat);
+    int32_t Sum = 0;
+    for (const Instr &I : Flat) {
+      EXPECT_EQ(opInfo(I.K).Pack, OpPack::None);
+      Sum += stackEffect(I);
+    }
+    EXPECT_EQ(stackEffect(Fused), Sum) << opInfo(Fused.K).Mnemonic;
+  }
+}
+
+// Stored block profiles are validated against structuralHash, which mixes
+// raw opcode numbers: these values were recorded before the opcode table
+// was generated from one X-macro, and must never change silently.
+TEST(OpcodeTable, StructuralHashGoldenRawCompile) {
+  Engine E;
+  VmRunner Runner(E);
+  VmCompileOptions Opts;
+  Opts.ProfileBlocks = true;
+  ASSERT_TRUE(Runner
+                  .evalString("(define k 3)\n"
+                              "(define (f n) (if (< n 2) 'small\n"
+                              "  (begin (set! k (- n 1))\n"
+                              "         (list n \"s\" k (lambda () n)))))\n"
+                              "(f 5)",
+                              "golden.scm", Opts)
+                  .Ok);
+  const VmFunction *F = nullptr;
+  for (auto &Fn : Runner.lastModule()->Functions)
+    if (Fn->Name == "f")
+      F = Fn.get();
+  ASSERT_NE(F, nullptr);
+  EXPECT_EQ(F->structuralHash(), 0x92029d9b80910c11ull) << disassemble(*F);
+}
+
+TEST(OpcodeTable, StructuralHashGoldenFusedAndInlined) {
+  // work's loop body tiers with wide superinstructions and poly inlined
+  // (GlobalIs, Peek, Squash, guard ops), so this pins every row kind.
+  Engine E(withCodegen(true));
+  ASSERT_TRUE(E.evalString(Program, ProgramName).Ok);
+  ASSERT_TRUE(E.evalString(Workload, "workload.scm").Ok);
+  const VmFunction *Loop = nullptr;
+  for (const LambdaExpr *L : E.context().TierLambdas)
+    if (L->Tiered && L->Tiered->Name == "work")
+      Loop = L->Tiered->Owner->Functions.back().get();
+  ASSERT_NE(Loop, nullptr);
+  std::set<Op> Kinds;
+  for (const Block &B : Loop->Blocks)
+    for (const Instr &I : B.Code)
+      Kinds.insert(I.K);
+  EXPECT_TRUE(Kinds.count(Op::GlobalIs) && Kinds.count(Op::PeekCall))
+      << disassemble(*Loop);
+  EXPECT_EQ(Loop->structuralHash(), 0xfc50f0aa2050adfcull)
+      << disassemble(*Loop);
 }
 
 } // namespace

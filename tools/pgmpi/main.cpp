@@ -229,7 +229,7 @@ static int runParallel(int Argc, char **Argv) {
     return 1;
   }
   if (O.Engine.StatsEnabled)
-    std::fputs(Pool.engine(0).stats().render().c_str(), stderr);
+    std::fputs(Pool.mergedStats().render().c_str(), stderr);
   if (R.NumFailed) {
     std::fprintf(stderr,
                  "pgmpi: merged profile covers %zu of %zu task(s)\n",
@@ -404,14 +404,12 @@ static int runServe(int Argc, char **Argv) {
   Clock::time_point T2 = Clock::now();
 
   size_t Failed = 0;
-  uint64_t Promotions = 0, Demotions = 0, Publishes = 0;
-  for (size_t I = 0; I < Pool.size(); ++I) {
-    Failed += FailedPer[I];
-    const StatsRegistry &S = Pool.engine(I).stats();
-    Promotions += S.count(Stat::RetierPromotions);
-    Demotions += S.count(Stat::RetierDemotions);
-    Publishes += S.count(Stat::BusPublishes);
-  }
+  for (size_t N : FailedPer)
+    Failed += N;
+  StatsRegistry Merged = Pool.mergedStats();
+  uint64_t Promotions = Merged.count(Stat::RetierPromotions);
+  uint64_t Demotions = Merged.count(Stat::RetierDemotions);
+  uint64_t Publishes = Merged.count(Stat::BusPublishes);
   uint64_t Epochs = Pool.bus() ? Pool.bus()->epochsPublished() : 0;
   auto Ms = [](Clock::time_point A, Clock::time_point B) {
     return static_cast<unsigned long long>(
@@ -454,7 +452,7 @@ static int runServe(int Argc, char **Argv) {
     }
   }
   if (ShowStats)
-    std::fputs(Pool.engine(0).stats().render().c_str(), stderr);
+    std::fputs(Pool.mergedStats().render().c_str(), stderr);
   if (Failed)
     return 2; // degraded: served, but not every request succeeded
   return Degraded ? 2 : 0;
