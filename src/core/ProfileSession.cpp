@@ -151,20 +151,20 @@ void pgmp::attachContinuousProfile(Context &Ctx,
 /// is the only thread incrementing this context's counters (one Engine is
 /// one thread's session), so reading them here needs no quiescence
 /// protocol beyond the TLS-sharded registry itself — the "quiesce-free
-/// snapshot". Keys are cached per counter slot so steady-state publishes
-/// rebuild no strings.
+/// snapshot". Bus slots are cached per counter, so a steady-state publish
+/// builds, hashes and compares no strings.
 static void publishCounters(Context &Ctx) {
   auto Rows = Ctx.Counters.snapshot();
-  while (Ctx.BusKeyCache.size() < Rows.size()) {
-    const SourceObject *Src = Rows[Ctx.BusKeyCache.size()].first;
-    Ctx.BusKeyCache.push_back(BusPointKey{Src->File, Src->BeginOffset,
-                                          Src->EndOffset, Src->Line,
-                                          Src->Column, Src->Generated});
+  while (Ctx.BusSlotCache.size() < Rows.size()) {
+    const SourceObject *Src = Rows[Ctx.BusSlotCache.size()].first;
+    Ctx.BusSlotCache.push_back(Ctx.Bus->intern(
+        BusPointKey{Src->File, Src->BeginOffset, Src->EndOffset, Src->Line,
+                    Src->Column, Src->Generated}));
   }
-  ProfileBus::TotalsRows Totals;
+  ProfileBus::SlotRows Totals;
   Totals.reserve(Rows.size());
   for (size_t I = 0; I < Rows.size(); ++I)
-    Totals.emplace_back(Ctx.BusKeyCache[I], Rows[I].second);
+    Totals.emplace_back(Ctx.BusSlotCache[I], Rows[I].second);
   Ctx.Bus->publish(Ctx.BusPublisher, Totals);
   Ctx.Stats.bump(Stat::BusPublishes);
 }
@@ -173,10 +173,17 @@ static void publishCounters(Context &Ctx) {
 static void applyEpoch(Context &Ctx, const ProfileEpoch &Epoch) {
   std::unordered_map<const SourceObject *, double> Weights;
   Weights.reserve(Epoch.Rows.size());
-  for (const ProfileEpochRow &Row : Epoch.Rows)
-    Weights[Ctx.Sources.intern(Row.Key.File, Row.Key.Begin, Row.Key.End,
+  std::vector<const SourceObject *> &Sources = Ctx.BusSlotSources;
+  for (const ProfileEpochRow &Row : Epoch.Rows) {
+    if (Row.Slot >= Sources.size())
+      Sources.resize(Row.Slot + 1, nullptr);
+    const SourceObject *&Src = Sources[Row.Slot];
+    if (!Src)
+      Src = Ctx.Sources.intern(Row.Key.File, Row.Key.Begin, Row.Key.End,
                                Row.Key.Line, Row.Key.Column,
-                               Row.Key.Generated)] = Row.Weight;
+                               Row.Key.Generated);
+    Weights[Src] = Row.Weight;
+  }
 
   for (const LambdaExpr *L : Ctx.TierLambdas) {
     if (!L->Body || !L->Body->Src || L->TierBlocked)
@@ -230,6 +237,7 @@ static void applyEpoch(Context &Ctx, const ProfileEpoch &Epoch) {
 bool pgmp::pollContinuousProfile(Context &Ctx) {
   if (!Ctx.Bus)
     return false;
+  ScopedPhase Timer(Ctx.Stats, &Ctx.Trace, Phase::Bus);
   publishCounters(Ctx);
   // One atomic load answers "anything new?" — the fast path when the
   // aggregated profile is stable.

@@ -160,9 +160,12 @@ public:
   std::unique_ptr<ProfileBus> OwnedBus;
   uint64_t BusPublisher = 0;   ///< this engine's publisher id on Bus
   uint64_t BusSeenVersion = 0; ///< last epoch version applied (re-tier)
-  /// Counter slot -> bus key, in counter registration order. Grown lazily
-  /// at publish time so steady-state publishes rebuild no strings.
-  std::vector<BusPointKey> BusKeyCache;
+  /// Counter slot -> bus slot, in counter registration order. Grown
+  /// lazily at publish time so a point's key crosses the bus once.
+  std::vector<uint32_t> BusSlotCache;
+  /// Bus slot -> this context's SourceObject, filled on first sight of a
+  /// slot in an epoch.
+  std::vector<const SourceObject *> BusSlotSources;
   /// Every lambda of every adopted CodeUnit, for the epoch re-tier walk.
   /// Only *adopted* units register, so a unit discarded by a failed eval
   /// never leaves dangling pointers here.

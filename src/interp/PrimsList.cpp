@@ -55,6 +55,8 @@ Value primReverse(Context &Ctx, Value *A, size_t) {
 
 Value primListRef(Context &, Value *A, size_t) {
   int64_t K = wantFixnum("list-ref", A[1]);
+  if (K < 0)
+    raiseError("list-ref: index out of range");
   Value Cur = A[0];
   while (K > 0 && Cur.isPair()) {
     Cur = Cur.asPair()->Cdr;
@@ -67,6 +69,8 @@ Value primListRef(Context &, Value *A, size_t) {
 
 Value primListTail(Context &, Value *A, size_t) {
   int64_t K = wantFixnum("list-tail", A[1]);
+  if (K < 0)
+    raiseError("list-tail: index out of range");
   Value Cur = A[0];
   while (K > 0) {
     if (!Cur.isPair())

@@ -165,8 +165,13 @@ Value primModulo(Context &, Value *A, size_t) {
 }
 
 Value primAbs(Context &, Value *A, size_t) {
-  if (A[0].isFixnum())
-    return Value::fixnum(std::abs(A[0].asFixnum()));
+  if (A[0].isFixnum()) {
+    int64_t X = A[0].asFixnum();
+    // |INT64_MIN| has no fixnum result (negating it is undefined).
+    if (X == INT64_MIN)
+      raiseError("abs: fixnum overflow");
+    return Value::fixnum(X < 0 ? -X : X);
+  }
   return Value::flonum(std::fabs(wantNumber("abs", A[0])));
 }
 

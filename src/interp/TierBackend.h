@@ -47,7 +47,8 @@ public:
   /// Compiles \p L's body to a bytecode function, caching it on the
   /// lambda (L->Tiered) — or marks it TierBlocked and returns null when
   /// the body cannot run on the VM (phase-1-only nodes). Applies the
-  /// current fusion table and inlining policy.
+  /// current fusion table and inlining policy. A body a demotion parked
+  /// in L->TierCache is restored instead of recompiled.
   virtual const VmFunction *compile(Context &Ctx, const LambdaExpr *L) = 0;
 
   /// Runs a tier-compiled function over a closure's captured frame.

@@ -22,10 +22,47 @@ uint64_t ProfileBus::addPublisher() {
   return LastTotals.size() - 1;
 }
 
+uint32_t ProfileBus::intern(const BusPointKey &Key) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return internLocked(Key);
+}
+
+uint32_t ProfileBus::internLocked(const BusPointKey &Key) {
+  auto [It, Inserted] =
+      Index.try_emplace(Key, static_cast<uint32_t>(Points.size()));
+  if (!Inserted)
+    return It->second;
+  uint32_t Slot = It->second;
+  // Place the point in key order once; every later comparison is by rank.
+  std::string Name = Key.describe();
+  size_t Pos = std::lower_bound(KeyOrderNames.begin(), KeyOrderNames.end(),
+                                Name) -
+               KeyOrderNames.begin();
+  KeyOrderNames.insert(KeyOrderNames.begin() + Pos, std::move(Name));
+  KeyOrder.insert(KeyOrder.begin() + Pos, Slot);
+  Points.push_back(PointState{Key, 0.0, 0, 0});
+  for (size_t R = Pos; R < KeyOrder.size(); ++R)
+    Points[KeyOrder[R]].Rank = static_cast<uint32_t>(R);
+  return Slot;
+}
+
 uint64_t ProfileBus::publish(uint64_t Publisher, const TotalsRows &Totals) {
+  SlotRows Rows;
+  Rows.reserve(Totals.size());
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (const auto &[Key, Total] : Totals)
+      Rows.emplace_back(internLocked(Key), Total);
+  }
+  return publish(Publisher, Rows);
+}
+
+uint64_t ProfileBus::publish(uint64_t Publisher, const SlotRows &Totals) {
   std::lock_guard<std::mutex> Lock(Mu);
   assert(Publisher < LastTotals.size() && "publish from unregistered engine");
   std::vector<uint64_t> &Last = LastTotals[Publisher];
+  if (Last.size() < Points.size())
+    Last.resize(Points.size(), 0);
 
   // Decay first: the whole accumulator ages by one publish, then this
   // publish's deltas land at full strength. Points absent from Totals
@@ -34,13 +71,8 @@ uint64_t ProfileBus::publish(uint64_t Publisher, const TotalsRows &Totals) {
   for (PointState &P : Points)
     P.Decayed *= Alpha;
 
-  for (const auto &[Key, Total] : Totals) {
-    auto [It, Inserted] = Index.try_emplace(Key, Points.size());
-    if (Inserted)
-      Points.push_back(PointState{Key, 0.0, 0});
-    size_t Slot = It->second;
-    if (Slot >= Last.size())
-      Last.resize(Points.size(), 0);
+  for (const auto &[Slot, Total] : Totals) {
+    assert(Slot < Points.size() && "publish of an uninterned slot");
     // Counters only grow between publishes; a lower total means the
     // engine folded (reset) its counters, so the whole total is new.
     uint64_t Delta = Total >= Last[Slot] ? Total - Last[Slot] : Total;
@@ -55,56 +87,56 @@ uint64_t ProfileBus::publish(uint64_t Publisher, const TotalsRows &Totals) {
 }
 
 void ProfileBus::maybePublishEpochLocked() {
-  // Current hot set: top-K slots by decayed estimate (desc), point key
+  // Current hot set: top-K slots by decayed estimate (desc), key order
   // (asc) as the deterministic tiebreak. Slots that decayed to ~nothing
   // never qualify, so an idle point cannot linger in the hot set.
-  std::vector<size_t> Hot;
-  Hot.reserve(Points.size());
-  for (size_t I = 0; I < Points.size(); ++I)
+  Live.clear();
+  for (uint32_t I = 0; I < Points.size(); ++I)
     if (Points[I].Decayed > 1e-9)
-      Hot.push_back(I);
-  std::sort(Hot.begin(), Hot.end(), [&](size_t A, size_t B) {
-    if (Points[A].Decayed != Points[B].Decayed)
-      return Points[A].Decayed > Points[B].Decayed;
-    return Points[A].Key.describe() < Points[B].Key.describe();
-  });
-  if (Hot.size() > Opts.HotSetK)
-    Hot.resize(Opts.HotSetK);
-
-  if (Hot.empty())
+      Live.push_back(I);
+  if (Live.empty())
     return;
+  size_t K = std::min(Opts.HotSetK, Live.size());
+  std::partial_sort(Live.begin(), Live.begin() + K, Live.end(),
+                    [&](uint32_t A, uint32_t B) {
+                      if (Points[A].Decayed != Points[B].Decayed)
+                        return Points[A].Decayed > Points[B].Decayed;
+                      return Points[A].Rank < Points[B].Rank;
+                    });
+  std::vector<uint32_t> Hot(Live.begin(), Live.begin() + K);
+  std::sort(Hot.begin(), Hot.end());
 
   // Churn = |symmetric difference| / max(|old|, |new|). First nonempty
   // hot set always publishes (PublishedHotSet empty → churn 1).
-  std::vector<size_t> OldSorted = PublishedHotSet;
-  std::vector<size_t> NewSorted = Hot;
-  std::sort(OldSorted.begin(), OldSorted.end());
-  std::sort(NewSorted.begin(), NewSorted.end());
-  std::vector<size_t> Common;
-  std::set_intersection(OldSorted.begin(), OldSorted.end(), NewSorted.begin(),
-                        NewSorted.end(), std::back_inserter(Common));
-  size_t Larger = std::max(OldSorted.size(), NewSorted.size());
-  size_t SymDiff = OldSorted.size() + NewSorted.size() - 2 * Common.size();
-  double Churn = Larger ? static_cast<double>(SymDiff) / Larger : 0.0;
+  size_t Common = 0;
+  for (size_t I = 0, J = 0; I < PublishedHotSet.size() && J < Hot.size();) {
+    if (PublishedHotSet[I] < Hot[J])
+      ++I;
+    else if (Hot[J] < PublishedHotSet[I])
+      ++J;
+    else
+      ++Common, ++I, ++J;
+  }
+  size_t Larger = std::max(PublishedHotSet.size(), Hot.size());
+  size_t SymDiff = PublishedHotSet.size() + Hot.size() - 2 * Common;
+  double Churn = static_cast<double>(SymDiff) / Larger;
   if (!PublishedHotSet.empty() && Churn < Opts.RetierThreshold)
     return;
 
-  // Build the epoch: every live point, weight normalized by the hottest.
+  // Build the epoch: every live point in key order, weight normalized by
+  // the hottest.
   double MaxDecayed = 0;
   for (const PointState &P : Points)
     MaxDecayed = std::max(MaxDecayed, P.Decayed);
   auto Epoch = std::make_shared<ProfileEpoch>();
-  Epoch->Rows.reserve(Points.size());
-  for (const PointState &P : Points) {
+  Epoch->Rows.reserve(Live.size());
+  for (uint32_t Slot : KeyOrder) {
+    const PointState &P = Points[Slot];
     if (P.Decayed <= 1e-9)
       continue;
     Epoch->Rows.push_back(
-        ProfileEpochRow{P.Key, P.Decayed / MaxDecayed, P.Total});
+        ProfileEpochRow{P.Key, P.Decayed / MaxDecayed, P.Total, Slot});
   }
-  std::sort(Epoch->Rows.begin(), Epoch->Rows.end(),
-            [](const ProfileEpochRow &A, const ProfileEpochRow &B) {
-              return A.Key.describe() < B.Key.describe();
-            });
 
   PublishedHotSet = std::move(Hot);
   Epoch->Version = Ver.load(std::memory_order_relaxed) + 1;

@@ -13,10 +13,15 @@
 /// ## Model
 ///
 /// - A *publisher* is one engine (one counter store). Publishes carry
-///   cumulative totals in counter-registration order; the bus differences
-///   consecutive publishes internally, so publishing never perturbs the
-///   live counters and the end-of-run fold stays byte-identical to a run
-///   with the bus off.
+///   cumulative totals; the bus differences consecutive publishes
+///   internally, so publishing never perturbs the live counters and the
+///   end-of-run fold stays byte-identical to a run with the bus off.
+/// - A point's key crosses the bus once: intern() gives it a dense
+///   *slot*, and publishes thereafter carry (slot, total) rows. The
+///   point's place in key order ("file:begin-end", lexicographic) is
+///   fixed at intern time too, so one beat — decay, delta, top-K
+///   partial select, epoch build — is O(points) arithmetic with no
+///   string work.
 /// - The decayed estimate of point p after a publish is
 ///       decayed[p] = decayed[p] * alpha + delta[p],
 ///   with alpha = 2^(-1 / DecayHalfLife): a point's contribution halves
@@ -42,9 +47,9 @@
 /// least as new as N.
 ///
 /// Points cross the bus by *value* (BusPointKey mirrors SourceObject
-/// identity) because each engine interns its own SourceObjects;
-/// subscribers re-intern into their own tables, exactly like the
-/// EnginePool merge.
+/// identity) because each engine interns its own SourceObjects. Epoch
+/// rows carry their slot, so a subscriber re-interns each point into its
+/// own table once (first sight) and maps slots afterwards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +100,7 @@ struct ProfileEpochRow {
   BusPointKey Key;
   double Weight = 0;
   uint64_t Count = 0;
+  uint32_t Slot = 0; ///< the point's bus slot (ProfileBus::intern)
 };
 
 /// An immutable published profile epoch. Rows are sorted by point key so
@@ -117,8 +123,10 @@ struct ProfileBusOptions {
 /// In-process aggregator for continuous profiling. See file comment.
 class ProfileBus {
 public:
-  /// Cumulative (point, total) rows, as produced by translating a
-  /// ShardedCounterStore snapshot.
+  /// Cumulative (slot, total) rows; slots come from intern().
+  using SlotRows = std::vector<std::pair<uint32_t, uint64_t>>;
+  /// Cumulative (point, total) rows, interned on every publish: the
+  /// convenience form for tests and one-off publishers.
   using TotalsRows = std::vector<std::pair<BusPointKey, uint64_t>>;
 
   explicit ProfileBus(const ProfileBusOptions &Opts = {});
@@ -126,10 +134,15 @@ public:
   /// Registers one publishing engine; returns its publisher id.
   uint64_t addPublisher();
 
+  /// The slot of \p Key, assigned on first sight and stable for the
+  /// bus's lifetime. Publishers cache it per point.
+  uint32_t intern(const BusPointKey &Key);
+
   /// Publishes \p Totals (cumulative counts) for \p Publisher. Totals
   /// lower than the previous publish are treated as a counter reset (the
   /// engine folded its counters) and re-based. Returns the bus version
   /// after aggregation — possibly freshly bumped.
+  uint64_t publish(uint64_t Publisher, const SlotRows &Totals);
   uint64_t publish(uint64_t Publisher, const TotalsRows &Totals);
 
   /// Current epoch version; 0 until the first epoch is published.
@@ -154,7 +167,10 @@ private:
     BusPointKey Key;
     double Decayed = 0;
     uint64_t Total = 0;
+    uint32_t Rank = 0; ///< position of Key.describe() in KeyOrder
   };
+
+  uint32_t internLocked(const BusPointKey &Key);
 
   /// Recomputes the hot set and publishes a new epoch when it churned
   /// past the threshold. Caller holds Mu.
@@ -165,11 +181,17 @@ private:
 
   mutable std::mutex Mu;
   std::vector<PointState> Points;
-  std::unordered_map<BusPointKey, size_t, BusPointKeyHash> Index;
+  std::unordered_map<BusPointKey, uint32_t, BusPointKeyHash> Index;
+  /// Slots sorted by describe(), with the strings they sort by; touched
+  /// only when a point is first interned.
+  std::vector<uint32_t> KeyOrder;
+  std::vector<std::string> KeyOrderNames;
+  /// Scratch for the hot-set select, kept to avoid a per-beat allocation.
+  std::vector<uint32_t> Live;
   /// Per publisher: last seen cumulative total per point slot.
   std::vector<std::vector<uint64_t>> LastTotals;
-  /// Point slots of the hot set in the last published epoch.
-  std::vector<size_t> PublishedHotSet;
+  /// Point slots of the hot set in the last published epoch, ascending.
+  std::vector<uint32_t> PublishedHotSet;
   std::shared_ptr<const ProfileEpoch> Current;
   uint64_t NumPublishes = 0;
 

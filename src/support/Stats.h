@@ -43,7 +43,8 @@ class TraceSink;
   X(ProfileStore, "profile-store") /* serialize + atomically write */          \
   X(ProfileLoad, "profile-load")  /* read + parse + merge a profile */         \
   X(TierCompile, "tier-compile")  /* hot lambdas -> bytecode (tier-up) */      \
-  X(Reclaim, "reclaim")           /* boundary region reclamation */
+  X(Reclaim, "reclaim")           /* boundary region reclamation */            \
+  X(Bus, "bus")                   /* bus publish + epoch apply */
 
 /// X-macro of the profiler self-metric counters: identifier, stable
 /// report name, in report order.

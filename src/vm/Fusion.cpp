@@ -170,20 +170,13 @@ size_t pgmp::fuseFunction(VmFunction &Fn, const FusionTable &Table) {
   return Fused;
 }
 
-void pgmp::accumulatePairCensus(const VmFunction &Fn, bool UseBlockCounts,
-                                double FlatWeight, double Weights[],
-                                double &Total) {
+void pgmp::appendPairSites(const VmFunction &Fn, std::vector<PairSite> &Out) {
+  std::vector<Instr> Flat;
   for (const Block &B : Fn.Blocks) {
-    double W = UseBlockCounts ? static_cast<double>(B.ProfileCount)
-                              : FlatWeight;
-    if (W <= 0)
-      continue;
-    // Expand fused ops back to components so already-fused code keeps
-    // voting for its pairs; ProfileSrc stays in the stream as a fusion
-    // barrier (matching what fuseFunction can actually pair), only the
-    // block-entry ProfileBlock is dropped.
-    std::vector<Instr> Flat;
-    Flat.reserve(B.Code.size() + 4);
+    // Expand fused ops back to components; ProfileSrc stays in the
+    // stream as a fusion barrier (matching what fuseFunction can actually
+    // pair), only the block-entry ProfileBlock is dropped.
+    Flat.clear();
     for (const Instr &I : B.Code) {
       if (I.K == Op::ProfileBlock)
         continue;
@@ -195,8 +188,20 @@ void pgmp::accumulatePairCensus(const VmFunction &Fn, bool UseBlockCounts,
       // match a wide pair anyway, but keep the bound explicit.
       if (C < 0 || C >= static_cast<int>(NumFusionCandidates))
         continue;
-      Weights[static_cast<size_t>(C)] += W;
-      Total += W;
+      Out.push_back(PairSite{&B, static_cast<uint32_t>(C)});
     }
+  }
+}
+
+void pgmp::accumulatePairCensus(const std::vector<PairSite> &Sites,
+                                bool UseBlockCounts, double FlatWeight,
+                                double Weights[], double &Total) {
+  for (const PairSite &S : Sites) {
+    double W = UseBlockCounts ? static_cast<double>(S.B->ProfileCount)
+                              : FlatWeight;
+    if (W <= 0)
+      continue;
+    Weights[S.Candidate] += W;
+    Total += W;
   }
 }

@@ -104,15 +104,28 @@ void flattenInstr(const Instr &I, std::vector<Instr> &Out);
 /// Returns the number of pairs fused.
 size_t fuseFunction(VmFunction &Fn, const FusionTable &Table);
 
-/// Accumulates the pair census of \p Fn into \p Weights (size
-/// NumFusionCandidates) and \p Total: every fusable adjacency — counting
-/// already-fused ops as their expansion, so fused code still votes for
-/// its pairs — weighted by the containing block's ProfileCount when
-/// \p UseBlockCounts, else by \p FlatWeight. TierBackend::fuse() uses
-/// block counts; the pgmpi report table weighs a whole function by its
-/// source-profile weight.
-void accumulatePairCensus(const VmFunction &Fn, bool UseBlockCounts,
-                          double FlatWeight, double Weights[], double &Total);
+/// One fusable adjacency of a compiled function — counting already-fused
+/// ops as their expansion, so fused code still votes for its pairs: the
+/// block it sits in and the base candidate it votes for.
+struct PairSite {
+  const Block *B;
+  uint32_t Candidate;
+};
+
+/// Appends \p Fn's pair sites to \p Out in block and code order. A
+/// compiled function's sites never change, so a caller that re-weighs
+/// the census often (TierBackend::fuse() at every epoch) computes them
+/// once and reads only the block counts afterwards.
+void appendPairSites(const VmFunction &Fn, std::vector<PairSite> &Out);
+
+/// Accumulates the census of \p Sites into \p Weights (size
+/// NumFusionCandidates) and \p Total, each site weighted by its block's
+/// ProfileCount when \p UseBlockCounts, else by \p FlatWeight.
+/// TierBackend::fuse() uses block counts; the pgmpi report table weighs a
+/// whole function by its source-profile weight.
+void accumulatePairCensus(const std::vector<PairSite> &Sites,
+                          bool UseBlockCounts, double FlatWeight,
+                          double Weights[], double &Total);
 
 } // namespace pgmp
 

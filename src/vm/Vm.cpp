@@ -672,6 +672,10 @@ namespace {
 class VmTierBackend : public TierBackend {
 public:
   const VmFunction *compile(Context &Ctx, const LambdaExpr *L) override {
+    // A demotion parked a body compiled against the current fusion table
+    // (invalidateEpoch drops stale ones): re-tiering is a pointer swap.
+    if (L->TierCache)
+      return L->Tiered = L->TierCache;
     ScopedPhase Timer(Ctx.Stats, &Ctx.Trace, Phase::TierCompile);
     auto Module = std::make_shared<VmModule>();
     VmCompileOptions Opts;
@@ -721,11 +725,15 @@ public:
   }
 
   uint64_t fuse(Context &Ctx) override {
+    // A compiled module's pair sites never change: collect each module's
+    // once, so an epoch's census only reads block counts.
+    for (; CensusModules < Modules.size(); ++CensusModules)
+      for (const auto &Fn : Modules[CensusModules]->Functions)
+        appendPairSites(*Fn, CensusSites);
     double Weights[NumFusionCandidates] = {};
     double Total = 0;
-    for (const auto &M : Modules)
-      for (const auto &Fn : M->Functions)
-        accumulatePairCensus(*Fn, /*UseBlockCounts=*/true, 0, Weights, Total);
+    accumulatePairCensus(CensusSites, /*UseBlockCounts=*/true, 0, Weights,
+                         Total);
     // No block-profile evidence yet: keep the default dominant set (the
     // statically measured hot pairs) rather than disabling everything.
     uint32_t Mask = AllFusionsMask;
@@ -777,6 +785,9 @@ public:
 
 private:
   std::vector<std::shared_ptr<VmModule>> Modules;
+  /// Pair sites of Modules[0, CensusModules), in module order.
+  std::vector<PairSite> CensusSites;
+  size_t CensusModules = 0;
   FusionTable Table;
   CallSiteCensus Census;
   /// Fusion-table epoch each lambda's live body was compiled against.

@@ -272,4 +272,16 @@ TEST(Cli, ServeContainsFixnumOverflowToOneRequest) {
   EXPECT_NE(Out.find("3 request(s), 1 failed"), std::string::npos) << Out;
 }
 
+TEST(Cli, AbsOfMinFixnumIsAnErrorNotUndefinedBehaviour) {
+  for (const char *Tier : {"off", "always"}) {
+    int Exit = -1;
+    std::string Out = pgmpiOutput(
+        std::string("--tier ") + Tier +
+            " -e '(display (abs (- 0 9223372036854775807 1)))'",
+        Exit);
+    EXPECT_EQ(Exit, 1) << Tier << "\n" << Out;
+    EXPECT_NE(Out.find("abs: fixnum overflow"), std::string::npos) << Out;
+  }
+}
+
 } // namespace

@@ -19,7 +19,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <thread>
+#include <unordered_map>
 
 using namespace pgmp;
 using namespace pgmp::testutil;
@@ -44,6 +47,110 @@ std::string slurp(const std::string &Path) {
 constexpr const char *WorkDefs =
     "(define (work-a n) (if (= n 0) 0 (+ 1 (work-a (- n 1)))))\n"
     "(define (work-b n) (if (= n 0) 0 (+ 2 (work-b (- n 1)))))\n";
+
+/// FNV-1a over raw bytes: the golden epoch digest.
+void fnv(uint64_t &H, const void *Data, size_t N) {
+  const auto *B = static_cast<const unsigned char *>(Data);
+  for (size_t I = 0; I < N; ++I) {
+    H ^= B[I];
+    H *= 0x100000001B3ull;
+  }
+}
+
+/// Folds one epoch into \p H: version, row count, and per row the full
+/// point identity, the weight's bit pattern and the raw count.
+void hashEpoch(uint64_t &H, const ProfileEpoch &E) {
+  fnv(H, &E.Version, sizeof E.Version);
+  uint64_t N = E.Rows.size();
+  fnv(H, &N, sizeof N);
+  for (const ProfileEpochRow &R : E.Rows) {
+    fnv(H, R.Key.File.data(), R.Key.File.size() + 1);
+    uint32_t Ids[4] = {R.Key.Begin, R.Key.End, R.Key.Line, R.Key.Column};
+    fnv(H, Ids, sizeof Ids);
+    uint8_t Gen = R.Key.Generated;
+    fnv(H, &Gen, 1);
+    uint64_t Bits;
+    std::memcpy(&Bits, &R.Weight, sizeof Bits);
+    fnv(H, &Bits, sizeof Bits);
+    fnv(H, &R.Count, sizeof R.Count);
+  }
+}
+
+/// Digest of a scripted two-publisher session over 768 points in two
+/// files. Ties in the decayed values are exact (groups of points share a
+/// delta history), begin offsets run from 1 to 3 digits so numeric and
+/// lexicographic key orders differ ("a.scm:102-…" sorts before
+/// "a.scm:12-…"), the second file's points first appear mid-session, the
+/// publishers send rows in opposite orders, and one publisher folds
+/// (resets) its counters halfway. \p Publish sends one publisher's
+/// cumulative totals and returns the bus version.
+struct GoldenDigest {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  uint64_t Epochs = 0;
+  size_t Points = 0;
+};
+GoldenDigest runGoldenEpochScript(
+    ProfileBus &Bus,
+    const std::function<uint64_t(uint64_t, const ProfileBus::TotalsRows &)>
+        &Publish) {
+  struct Point {
+    BusPointKey Key;
+    uint32_t Group;
+  };
+  std::vector<Point> Points;
+  for (const char *File : {"a.scm", "b.scm"})
+    for (uint32_t I = 0; I < 320; ++I) {
+      uint32_t Begin = I * 3 + (File[0] == 'b');
+      BusPointKey K;
+      K.File = File;
+      K.Begin = Begin;
+      K.End = Begin + 1 + I % 5;
+      K.Line = 1 + Begin / 40;
+      K.Column = 1 + Begin % 40;
+      K.Generated = I % 11 == 0;
+      Points.push_back({K, I / 40});
+      if (I % 5 == 0) { // an enclosing form starting at the same offset
+        K.End = Begin + 40;
+        Points.push_back({K, (I / 40 + 3) % 8});
+      }
+    }
+  GoldenDigest D;
+  D.Points = Points.size();
+  std::vector<uint64_t> Totals[2];
+  Totals[0].assign(Points.size(), 0);
+  Totals[1].assign(Points.size(), 0);
+  for (uint32_t Round = 0; Round < 48; ++Round) {
+    uint32_t HotGroup = Round / 6 % 8;
+    for (uint64_t Pub = 0; Pub < 2; ++Pub) {
+      if (Pub == 1 && Round == 24) // the engine folded its counters
+        for (uint64_t &T : Totals[1])
+          T = T ? 5 : 0;
+      ProfileBus::TotalsRows Rows;
+      for (size_t N = 0; N < Points.size(); ++N) {
+        size_t I = Pub == 0 ? N : Points.size() - 1 - N;
+        const Point &P = Points[I];
+        bool Mine = I % 2 == Pub || I % 10 == 0; // every 10th is shared
+        if (!Mine || (P.Key.File == "b.scm" && Round < 5))
+          continue;
+        if (P.Group == HotGroup)
+          Totals[Pub][I] += I % 3 == 0 ? 128 : 64;
+        else if ((I + Round) % 17 == 0)
+          Totals[Pub][I] += 8;
+        Rows.emplace_back(P.Key, Totals[Pub][I]);
+      }
+      uint64_t V = Publish(Pub, Rows);
+      fnv(D.Hash, &V, sizeof V);
+      if (V != D.Epochs) {
+        std::shared_ptr<const ProfileEpoch> E = Bus.epoch();
+        EXPECT_TRUE(E);
+        if (E)
+          hashEpoch(D.Hash, *E);
+        D.Epochs = V;
+      }
+    }
+  }
+  return D;
+}
 
 } // namespace
 
@@ -136,6 +243,94 @@ TEST(ContinuousProfile, CounterResetRebasesInsteadOfUnderflowing) {
     if (R.Key == key("a.scm"))
       CountA = R.Count;
   EXPECT_EQ(CountA, 1040u);
+}
+
+TEST(ContinuousProfile, GoldenEpochsAreByteIdentical) {
+  // Pins every epoch a scripted session publishes — versions, row order,
+  // point identities, weight bits and counts — so any change to the
+  // aggregation (decay arithmetic, hot-set tiebreak, row order) shows.
+  ProfileBusOptions BO;
+  BO.DecayHalfLife = 4.0;
+  BO.RetierThreshold = 0.25;
+  BO.HotSetK = 16;
+  ProfileBus Bus(BO);
+  Bus.addPublisher();
+  Bus.addPublisher();
+  GoldenDigest D = runGoldenEpochScript(
+      Bus, [&Bus](uint64_t Pub, const ProfileBus::TotalsRows &Rows) {
+        return Bus.publish(Pub, Rows);
+      });
+  EXPECT_EQ(D.Points, 768u);
+  EXPECT_EQ(Bus.numPoints(), 768u);
+  EXPECT_EQ(Bus.publishes(), 96u);
+  EXPECT_EQ(D.Epochs, 83u);
+  EXPECT_EQ(D.Hash, 0xd0bf8f8521726505ull);
+}
+
+TEST(ContinuousProfile, GoldenEpochsBreakTiesInKeyOrder) {
+  // Eight points tie exactly for a hot set of four, so the tiebreak picks
+  // the set; their begin offsets make numeric and lexicographic key order
+  // disagree. Then four of them keep running and the rest go idle: a
+  // second epoch is published only if the survivors differ from the set
+  // the tiebreak picked.
+  auto Epochs = [](std::vector<uint32_t> Survivors) {
+    ProfileBusOptions BO;
+    BO.DecayHalfLife = 2.0;
+    BO.RetierThreshold = 0.25;
+    BO.HotSetK = 4;
+    ProfileBus Bus(BO);
+    uint64_t Pub = Bus.addPublisher();
+    const uint32_t Begins[] = {2, 9, 10, 11, 20, 100, 3, 30};
+    uint64_t Totals[8] = {};
+    for (int Round = 0; Round < 12; ++Round) {
+      ProfileBus::TotalsRows Rows;
+      for (size_t I = 0; I < 8; ++I) {
+        uint32_t B = Begins[I];
+        if (Round < 6 || std::count(Survivors.begin(), Survivors.end(), B))
+          Totals[I] += 100;
+        Rows.emplace_back(key("t.scm", B, B + 1), Totals[I]);
+      }
+      Bus.publish(Pub, Rows);
+    }
+    return Bus.version();
+  };
+  // Key order picks "t.scm:10-11", "t.scm:100-101", "t.scm:11-12" and
+  // "t.scm:2-3" out of the tie.
+  EXPECT_EQ(Epochs({10, 100, 11, 2}), 1u);
+  EXPECT_EQ(Epochs({2, 3, 9, 10}), 2u);  // the numerically first four
+  EXPECT_EQ(Epochs({20, 3, 30, 9}), 2u); // the lexicographically last four
+}
+
+TEST(ContinuousProfile, SlotPublishesRenderTheGoldenEpochs) {
+  // The same script through the engine's path — each key interned once
+  // per publisher, then (slot, total) rows — renders the same epochs,
+  // and every epoch row names the slot its point was interned at.
+  ProfileBusOptions BO;
+  BO.DecayHalfLife = 4.0;
+  BO.RetierThreshold = 0.25;
+  BO.HotSetK = 16;
+  ProfileBus Bus(BO);
+  Bus.addPublisher();
+  Bus.addPublisher();
+  std::unordered_map<std::string, uint32_t> Slots[2];
+  GoldenDigest D = runGoldenEpochScript(
+      Bus, [&](uint64_t Pub, const ProfileBus::TotalsRows &Rows) {
+        ProfileBus::SlotRows SlotRows;
+        for (const auto &[Key, Total] : Rows) {
+          auto [It, New] = Slots[Pub].try_emplace(Key.describe(), 0);
+          if (New)
+            It->second = Bus.intern(Key);
+          SlotRows.emplace_back(It->second, Total);
+        }
+        uint64_t V = Bus.publish(Pub, SlotRows);
+        if (std::shared_ptr<const ProfileEpoch> E = Bus.epoch())
+          for (const ProfileEpochRow &R : E->Rows)
+            EXPECT_EQ(R.Slot, Bus.intern(R.Key));
+        return V;
+      });
+  EXPECT_EQ(Bus.numPoints(), 768u);
+  EXPECT_EQ(D.Epochs, 83u);
+  EXPECT_EQ(D.Hash, 0xd0bf8f8521726505ull);
 }
 
 TEST(ContinuousProfile, PublishDuringQueryNeverTears) {
@@ -269,6 +464,42 @@ TEST(ContinuousProfile, SkewFlipRetiersWithoutRestart) {
   ProfileOpResult S = E.storeProfile(P);
   ASSERT_TRUE(S) << S.Error;
   std::remove(P.c_str());
+}
+
+TEST(ContinuousProfile, SkewFlipLoopKeepsTierUpsFlat) {
+  // The hot worker flips every few requests for dozens of epochs. Each
+  // flip demotes the stale-hot worker (its bytecode parks in TierCache)
+  // and the invocation threshold brings it back as soon as it runs
+  // again. After warm-up that must restore the parked body, not compile
+  // a fresh one: tier-ups (one new bytecode module each) stay flat.
+  EngineOptions O;
+  O.Instrument = true;
+  O.StatsEnabled = true;
+  O.Tier.Mode = TierMode::Auto;
+  O.Tier.Threshold = 16;
+  O.ContinuousProfile.IntervalCharges = 256;
+  O.ContinuousProfile.DecayHalfLife = 0.25;
+  O.ContinuousProfile.RetierThreshold = 0.25;
+  Engine E(O);
+  ASSERT_TRUE(E.evalString(WorkDefs, "work.scm").Ok);
+  auto Phase = [&E](const char *Request) {
+    for (int I = 0; I < 10; ++I)
+      evalOk(E, Request);
+    E.observeProfileEpoch();
+  };
+  for (int Flip = 0; Flip < 4; ++Flip)
+    Phase(Flip % 2 ? "(work-b 100)" : "(work-a 100)");
+  const StatsRegistry &S = E.stats();
+  uint64_t WarmTierUps = S.count(Stat::TierUps);
+  uint64_t WarmEpochs = S.count(Stat::BusEpochs);
+  uint64_t WarmDemotions = S.count(Stat::RetierDemotions);
+  EXPECT_GE(WarmTierUps, 2u);
+  for (int Flip = 0; Flip < 24; ++Flip)
+    Phase(Flip % 2 ? "(work-b 100)" : "(work-a 100)");
+  EXPECT_GE(S.count(Stat::BusEpochs) - WarmEpochs, 20u);
+  EXPECT_GE(S.count(Stat::RetierDemotions) - WarmDemotions, 20u)
+      << "the loop must keep demoting for the check to mean anything";
+  EXPECT_EQ(S.count(Stat::TierUps), WarmTierUps);
 }
 
 //===----------------------------------------------------------------------===//

@@ -224,4 +224,38 @@ TEST(TieredExec, FixnumDivisionOverflowIsContainedInEveryTier) {
   }
 }
 
+TEST(TieredExec, AbsFixnumOverflowIsContainedInEveryTier) {
+  // |INT64_MIN| has no fixnum result: abs raises, like quotient, instead
+  // of negating the most negative fixnum (undefined behaviour).
+  for (TierMode Mode : {TierMode::Off, TierMode::Always}) {
+    Engine E(withTier(Mode));
+    ASSERT_TRUE(E.evalString("(define m (- 0 9223372036854775807 1))\n"
+                             "(define (ab x) (abs x))\n")
+                    .Ok);
+    EXPECT_NE(evalErr(E, "(ab m)").find("abs: fixnum overflow"),
+              std::string::npos);
+    EXPECT_EQ(evalOk(E, "(list (ab (+ m 1)) (ab -7) (ab 0) (ab 7))"),
+              "(9223372036854775807 7 0 7)");
+  }
+}
+
+TEST(TieredExec, NegativeListIndexIsOutOfRangeInEveryTier) {
+  // A negative index names no element: list-ref and list-tail reject it
+  // as vector-ref does, rather than answering with the list's head.
+  for (TierMode Mode : {TierMode::Off, TierMode::Always}) {
+    Engine E(withTier(Mode));
+    ASSERT_TRUE(E.evalString("(define (lr l k) (list-ref l k))\n"
+                             "(define (lt l k) (list-tail l k))\n")
+                    .Ok);
+    EXPECT_NE(evalErr(E, "(lr (list 1 2) -1)")
+                  .find("list-ref: index out of range"),
+              std::string::npos);
+    EXPECT_NE(evalErr(E, "(lt (list 1 2) -1)")
+                  .find("list-tail: index out of range"),
+              std::string::npos);
+    EXPECT_EQ(evalOk(E, "(list (lr (list 1 2) 1) (lt (list 1 2) 2))"),
+              "(2 ())");
+  }
+}
+
 } // namespace

@@ -488,6 +488,7 @@ static int reportFusedPairs(const std::string &Program,
   size_t Compiled = 0;
   VmModule Module;
   VmCompileOptions COpts; // no fusion, no inlining: raw pair stream
+  std::vector<PairSite> Sites;
   for (const LambdaExpr *L : Ctx.TierLambdas) {
     double W = 1.0;
     if (Snap.hasData() && L->Body->Src)
@@ -498,7 +499,9 @@ static int reportFusedPairs(const std::string &Program,
       VmFunction *Fn = compileLambdaToVm(Ctx, L, Module, COpts);
       // Census the root function only: nested lambdas are adopted (and
       // therefore censused) in their own right.
-      accumulatePairCensus(*Fn, /*UseBlockCounts=*/false, W, Weights, Total);
+      Sites.clear();
+      appendPairSites(*Fn, Sites);
+      accumulatePairCensus(Sites, /*UseBlockCounts=*/false, W, Weights, Total);
       ++Compiled;
     } catch (const SchemeError &) {
       // Phase-1-only body: it can never tier, so it can never fuse.
